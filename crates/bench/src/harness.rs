@@ -21,6 +21,7 @@
 //! bench target with the `bench_` prefix stripped, e.g. `BENCH_sweep.json`).
 //! CI uploads these files as artifacts so runs can be compared over time.
 
+use mp_trace::json::escape_into;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -213,7 +214,9 @@ fn normalize_bench_name(stem: &str) -> String {
 fn render_report(name: &str, results: &[BenchResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(name)));
+    out.push_str("  \"bench\": ");
+    escape_into(&mut out, name);
+    out.push_str(",\n");
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let (tp_unit, tp_per_iter) = match r.throughput {
@@ -222,7 +225,9 @@ fn render_report(name: &str, results: &[BenchResult]) -> String {
             None => ("null".to_string(), 0.0),
         };
         out.push_str("    {");
-        out.push_str(&format!("\"name\": \"{}\", ", json_escape(&r.name)));
+        out.push_str("\"name\": ");
+        escape_into(&mut out, &r.name);
+        out.push_str(", ");
         out.push_str(&format!("\"ns_per_iter\": {:.3}, ", r.ns_per_iter));
         out.push_str(&format!("\"iters\": {}, ", r.iters));
         out.push_str(&format!("\"throughput_unit\": {tp_unit}, "));
@@ -242,17 +247,6 @@ fn render_report(name: &str, results: &[BenchResult]) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// A named set of benchmarks sharing throughput settings.
@@ -501,9 +495,18 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\there"), "tab\\u0009here");
+    fn report_names_with_specials_round_trip() {
+        let name = "quote\" back\\slash\ttab";
+        let results = [BenchResult {
+            name: name.to_string(),
+            ns_per_iter: 1.0,
+            iters: 1,
+            throughput: None,
+        }];
+        let doc = mp_trace::json::parse(&render_report(name, &results)).unwrap();
+        assert_eq!(doc.get("bench").and_then(|v| v.as_str()), Some(name));
+        let first = &doc.get("results").and_then(|v| v.as_array()).unwrap()[0];
+        assert_eq!(first.get("name").and_then(|v| v.as_str()), Some(name));
     }
 
     #[test]

@@ -753,8 +753,8 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     }
 
     // Per-plan resolved execution modes (the zero-copy decision is made
-    // once at build time) plus what packing actually cost: in-place phases
-    // record no pack spans, so the fraction is the direct A/B evidence.
+    // once at build time), then what halo face packing cost: sweeps relay
+    // carries by move and record no pack spans.
     rep.push_str("\nexecution modes (resolved at plan build):\n");
     for (dim, dir, phases) in &plan_modes {
         let zc = phases.iter().filter(|&&b| b).count();
@@ -769,8 +769,8 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let total_busy_s =
         tf.ranks.iter().map(|r| r.stats.compute_ns).sum::<u64>() as f64 / 1e9 + total_pack_s;
     rep.push_str(&format!(
-        "pack time: {total_pack_s:.4e}s across all ranks — {:.1}% of busy \
-         (compute + pack) time\n",
+        "halo packing time: {total_pack_s:.4e}s across all ranks — {:.1}% of busy \
+         (compute + halo packing) time\n",
         if total_busy_s > 0.0 {
             total_pack_s / total_busy_s * 100.0
         } else {
@@ -957,7 +957,7 @@ fn silence_panics_during_soak() {
 
 fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     use mp_runtime::comm::Communicator as _;
-    use mp_runtime::threaded::{run_threaded_result, RankFailure, RunOpts, Transport};
+    use mp_runtime::threaded::{run_threaded_result, RankFailure, RunOpts};
     use mp_runtime::FaultPlan;
 
     let cfg = parse_chaos_args(args)?;
@@ -975,7 +975,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         .map_err(|e| CliError(e.to_string()))?;
     let mp = Multipartitioning::optimal(p, &eta_u64, &cal_profile.cost_model());
     let prob = mp_nassp::SpProblem::new(eta, cfg.dt);
-    let transport = Transport::from_env();
 
     // One soak run: SP under `fault`, every blocking receive bounded by
     // `timeout`. Per rank: (u checksum, schedule counters) on success, a
@@ -986,7 +985,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         run_threaded_result(
             p,
             RunOpts {
-                transport,
                 deadline: Some(timeout),
                 fault,
             },
@@ -1033,7 +1031,7 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     let mut out = format!(
         "chaos soak: SP {}×{}×{} on p = {p}, {iters} iteration(s)/run, \
          deadline {} ms, base seed {seed:#x}\n\
-         γ = {:?} (cost model: {model_source}), transport {transport:?}, \
+         γ = {:?} (cost model: {model_source}), \
          block_width {}, threads {}, chunks {}\n\
          fault-free shim: checksums and counters identical to bare transport \
          on {p}/{p} ranks ✓\n\n",
@@ -1491,7 +1489,7 @@ mod tests {
         for line in off.lines().filter(|l| l.contains("phases zero-copy")) {
             assert!(line.contains("0/"), "{line}");
         }
-        assert!(off.contains("pack time:"), "{off}");
+        assert!(off.contains("halo packing time:"), "{off}");
         // Byte-identical wire schedule either way: the recorder↔runtime
         // cross-check inside cmd_profile already enforces it per rank;
         // here the two reports must agree on the total message count.

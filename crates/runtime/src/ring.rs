@@ -7,7 +7,7 @@
 //! compare-and-swap, only one release store per side. A carry send is a
 //! pointer-sized publish of the payload `Vec` into a slot; the receiver
 //! takes ownership of the very allocation the sender filled (extending the
-//! relay-by-move of the pipelined executor down into the transport).
+//! sweep phase loop's relay-by-move down into the transport).
 //!
 //! Blocked receivers spin briefly on their rings, then park
 //! (`std::thread::park_timeout`) on a per-rank [`Doorbell`] that senders

@@ -102,7 +102,8 @@ pub struct PlanKey {
     pub carry_len: usize,
     /// Lines per block job.
     pub block_width: usize,
-    /// Carry sub-messages per phase boundary (1 = aggregated).
+    /// Carry sub-messages per phase boundary (1 = one message per
+    /// boundary, the paper's aggregated schedule).
     pub pipeline_chunks: usize,
     /// Requested SIMD dispatch mode (resolved to a concrete level once at
     /// build time — see [`CompiledSweep::simd_level`]).
@@ -149,15 +150,11 @@ struct PhasePlan {
     stride_dims: Vec<usize>,
     /// Block jobs covering the phase's carry stream contiguously.
     jobs: Vec<BlockJob>,
-    /// Lines in the slab (carry stream length = `total_lines · carry_len`).
-    total_lines: usize,
-    /// Pipelined chunk spans (`pipeline_chunks = 1` → one chunk).
+    /// Chunk spans (`pipeline_chunks = 1` → one chunk covering the phase).
     chunks: Vec<ChunkSpan>,
-    /// Per-worker job spans for the whole phase (aggregated mode),
-    /// width-balanced by line count at build time so steady-state dispatch
-    /// does no span arithmetic and no allocation.
-    wspans: Vec<(usize, usize)>,
-    /// Per-chunk per-worker job spans (pipelined mode), same balancing.
+    /// Per-chunk per-worker job spans, width-balanced by line count at
+    /// build time so steady-state dispatch does no span arithmetic and no
+    /// allocation.
     chunk_wspans: Vec<Vec<(usize, usize)>>,
     /// Resolved execution mode: run this phase's jobs in place on tile
     /// storage (zero-copy) instead of gather/scatter through block
@@ -232,19 +229,23 @@ pub struct CompiledSweep {
     fms: Vec<FieldMeta>,
     /// Per-worker block buffers, reused across phases and executes.
     workers: Vec<WorkerScratch>,
-    /// Persistent worker pool for phase dispatch (`None` = single-threaded
-    /// or pool disabled → spawn-per-phase baseline). Shared across an
-    /// engine's plans via [`CompiledSweep::build_with_pool`].
+    /// Persistent worker pool for phase dispatch (`None` exactly when
+    /// single-threaded). Shared across an engine's plans via
+    /// [`CompiledSweep::build_on_pool`].
     pool: Option<Arc<WorkerPool>>,
-    /// What `opts.pool` was at build time (compared by `matches`).
-    pool_enabled: bool,
     /// SIMD level resolved once at build time from `key.simd` and the
     /// hardware — steady-state execution never re-detects features.
     simd: SimdLevel,
-    /// Locally recycled message buffers (self-neighbor path / pool-less comms).
-    spare: Vec<Vec<f64>>,
-    /// Local carry hand-off buffer for self-neighbor schedules.
-    local_carry: Vec<f64>,
+    /// Double-buffered carry store (see [`crate::pipeline`] for the
+    /// protocol): chunks for the current phase pop from `cur`; eager
+    /// next-phase arrivals drain into `next`. The `local_*` pair relays
+    /// chunks for self-neighbor schedules. Empty between executes; held in
+    /// the plan so their capacity is reused and steady state allocates
+    /// nothing.
+    cur: VecDeque<Vec<f64>>,
+    next: VecDeque<Vec<f64>>,
+    local_cur: VecDeque<Vec<f64>>,
+    local_next: VecDeque<Vec<f64>>,
 }
 
 impl CompiledSweep {
@@ -271,17 +272,17 @@ impl CompiledSweep {
         tag_base: Tag,
         opts: &SweepOptions,
     ) -> Self {
-        let pool = (opts.pool && opts.threads.max(1) > 1)
-            .then(|| Arc::new(WorkerPool::new(opts.threads.max(1) - 1)));
-        Self::build_with_pool(mp, rank, store, dim, dir, kernel, tag_base, opts, pool)
+        let pool =
+            (opts.threads.max(1) > 1).then(|| Arc::new(WorkerPool::new(opts.threads.max(1) - 1)));
+        Self::build_on_pool(mp, rank, store, dim, dir, kernel, tag_base, opts, pool)
     }
 
     /// [`CompiledSweep::build`] with an explicit (possibly shared) worker
     /// pool — [`SweepEngine`] uses this so all of its plans dispatch onto
-    /// one pool instead of spawning `threads − 1` workers per plan. `None`
-    /// with `threads > 1` selects the spawn-per-phase baseline.
+    /// one pool instead of spawning `threads − 1` workers per plan. The
+    /// pool must be present whenever `opts.threads > 1`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_with_pool<K: LineSweepKernel + ?Sized>(
+    pub(crate) fn build_on_pool<K: LineSweepKernel + ?Sized>(
         mp: &Multipartitioning,
         rank: u64,
         store: &RankStore,
@@ -316,9 +317,7 @@ impl CompiledSweep {
                 base_offs: Vec::new(),
                 stride_dims: Vec::new(),
                 jobs: Vec::new(),
-                total_lines: 0,
                 chunks: Vec::new(),
-                wspans: Vec::new(),
                 chunk_wspans: Vec::new(),
                 inplace: false,
             };
@@ -334,7 +333,6 @@ impl CompiledSweep {
                     let ro = pp.red_exts.len();
                     pp.red_exts.extend_from_slice(ext);
                     pp.red_exts[ro + dim] = 1;
-                    pp.total_lines += pp.red_exts[ro..].iter().product::<usize>();
                 }
                 for &f in kernel.fields() {
                     let arr = tile.field(f);
@@ -388,7 +386,6 @@ impl CompiledSweep {
             // Precompute the per-worker job spans (line-weight balanced) so
             // steady-state phases dispatch with zero span arithmetic.
             let threads = opts.threads.max(1);
-            pp.wspans = balanced_spans(&pp.jobs, 0, njobs, threads);
             pp.chunk_wspans = pp
                 .chunks
                 .iter()
@@ -432,10 +429,11 @@ impl CompiledSweep {
             fms: Vec::with_capacity(mp.tiles_per_proc_per_slab(dim) as usize * nfields),
             workers: make_workers(opts.threads, nfields),
             pool,
-            pool_enabled: opts.pool,
             simd: simd_level,
-            spare: Vec::new(),
-            local_carry: Vec::new(),
+            cur: VecDeque::new(),
+            next: VecDeque::new(),
+            local_cur: VecDeque::new(),
+            local_next: VecDeque::new(),
         };
         #[cfg(debug_assertions)]
         cs.validate_against(mp, store)
@@ -487,7 +485,6 @@ impl CompiledSweep {
             && self.key.simd == opts.simd
             && self.key.inplace == opts.inplace
             && self.threads == opts.threads.max(1)
-            && self.pool_enabled == opts.pool
     }
 
     /// The distinct message lengths (in elements) this plan sends, for
@@ -497,11 +494,7 @@ impl CompiledSweep {
         let mut lens = Vec::new();
         let nphases = self.phases.len();
         for pp in self.phases.iter().take(nphases.saturating_sub(1)) {
-            if self.key.pipeline_chunks <= 1 {
-                lens.push(pp.total_lines * self.key.carry_len);
-            } else {
-                lens.extend(pp.chunks.iter().map(|c| c.ehi - c.elo));
-            }
+            lens.extend(pp.chunks.iter().map(|c| c.ehi - c.elo));
         }
         lens.sort_unstable();
         lens.dedup();
@@ -582,8 +575,12 @@ impl CompiledSweep {
     }
 
     /// Execute the compiled sweep: refresh the per-field raw views from
-    /// `store` and run the phase loop. Bitwise-identical results and a
-    /// byte-identical communication schedule to the per-call executor.
+    /// `store` and run the phase loop. Each phase's precompiled chunk spans
+    /// ship eagerly, relayed by move (see [`crate::pipeline`]); with
+    /// `pipeline_chunks = 1` every phase is one chunk and the loop sends
+    /// the paper's one aggregated message per phase boundary.
+    /// Bitwise-identical results and a byte-identical communication
+    /// schedule to the per-call executor.
     ///
     /// # Panics
     /// Panics if `comm`'s rank or the kernel's shape differ from what the
@@ -599,39 +596,6 @@ impl CompiledSweep {
             kernel.fields() == self.key.fields && kernel.carry_len() == self.key.carry_len,
             "kernel shape differs from the one the sweep was compiled for"
         );
-        if self.key.pipeline_chunks > 1 {
-            self.execute_pipelined(comm, store, kernel);
-        } else {
-            self.execute_aggregated(comm, store, kernel);
-        }
-    }
-
-    /// Like [`CompiledSweep::execute`], but any unwind inside the sweep —
-    /// a kernel assertion, a worker-pool panic, a receive deadline, or a
-    /// peer rank's failure — comes back as a typed [`SweepError`] after
-    /// aborting the surrounding run ([`Communicator::abort`]), so the
-    /// other ranks unwind with `RankFailed` instead of deadlocking on the
-    /// messages this sweep will never send.
-    pub fn try_execute<C: Communicator, K: LineSweepKernel + ?Sized>(
-        &mut self,
-        comm: &mut C,
-        store: &mut RankStore,
-        kernel: &K,
-    ) -> Result<(), SweepError> {
-        match catch_unwind(AssertUnwindSafe(|| self.execute(comm, store, kernel))) {
-            Ok(()) => Ok(()),
-            Err(payload) => Err(SweepError::from_unwind(comm, payload)),
-        }
-    }
-
-    /// Aggregated mode: one carry message per phase boundary (the phase
-    /// loop of the per-call executor, minus all metadata recomputation).
-    fn execute_aggregated<C: Communicator, K: LineSweepKernel + ?Sized>(
-        &mut self,
-        comm: &mut C,
-        store: &mut RankStore,
-        kernel: &K,
-    ) {
         let (rank, upstream, downstream) = (self.rank, self.upstream, self.downstream);
         let CompiledSweep {
             key,
@@ -641,146 +605,21 @@ impl CompiledSweep {
             workers,
             pool,
             simd,
-            spare,
-            local_carry,
+            cur,
+            next,
+            local_cur,
+            local_next,
             ..
         } = self;
         let clen = key.carry_len;
         let dir = key.direction;
         let tag_base = key.tag_base;
         let nphases = phases.len();
-
-        for (phase, pp) in phases.iter().enumerate() {
-            // 1. Obtain incoming carries for this phase.
-            let incoming: Option<Vec<f64>> = if phase == 0 {
-                None
-            } else if upstream == rank {
-                Some(std::mem::take(local_carry))
-            } else {
-                Some(comm.recv(upstream, tag_base + phase as u64))
-            };
-
-            // 2. Refresh the raw field views (storage may have moved since
-            //    the last execute; everything else is precompiled).
-            refresh_fms(fms, pp, store, &key.fields);
-
-            // 3. Prepare the outgoing message: the incoming carries (or
-            //    initial ones at the domain boundary), evolved in place.
-            //    In-place phases go **direct to wire**: the received
-            //    message buffer itself becomes the outgoing one (the jobs
-            //    evolve its carries where they lie and it ships by move),
-            //    so steady-state in-place phases copy nothing and record
-            //    no pack span. Packed phases keep the staging copy.
-            let mut outgoing: Vec<f64> = match incoming {
-                Some(buf) if pp.inplace => {
-                    assert_eq!(
-                        buf.len(),
-                        pp.total_lines * clen,
-                        "carry message not fully consumed"
-                    );
-                    buf
-                }
-                incoming => {
-                    let t_pack = (!pp.inplace && comm.tracer().is_some()).then(Instant::now);
-                    let mut outgoing = comm.take_send_buffer();
-                    if outgoing.capacity() == 0 {
-                        if let Some(buf) = spare.pop() {
-                            outgoing = buf;
-                        }
-                    }
-                    outgoing.clear();
-                    outgoing.resize(pp.total_lines * clen, 0.0);
-                    match incoming {
-                        None => {
-                            if clen > 0 {
-                                let init = kernel.initial_carry(dir);
-                                assert_eq!(init.len(), clen, "initial carry length mismatch");
-                                for c in outgoing.chunks_exact_mut(clen) {
-                                    c.copy_from_slice(&init);
-                                }
-                            }
-                        }
-                        Some(buf) => {
-                            assert_eq!(
-                                buf.len(),
-                                outgoing.len(),
-                                "carry message not fully consumed"
-                            );
-                            outgoing.copy_from_slice(&buf);
-                            if upstream == rank {
-                                spare.push(buf);
-                            } else {
-                                comm.recycle(buf);
-                            }
-                        }
-                    }
-                    if let (Some(t0), Some(tr)) = (t_pack, comm.tracer()) {
-                        tr.pack(t0);
-                    }
-                    outgoing
-                }
-            };
-
-            // 4. Run the jobs — inline, or spread over worker threads.
-            let t_run = comm.tracer().is_some().then(Instant::now);
-            let njobs = pp.jobs.len();
-            let shared = shared_phase(pp, fms, kernel, key, *d, *simd);
-            crate::executor::run_jobs(
-                &shared,
-                &pp.wspans,
-                RawParts::of(&mut outgoing),
-                0,
-                workers,
-                pool.as_deref(),
-            );
-            if let (Some(t0), Some(tr)) = (t_run, comm.tracer()) {
-                tr.compute(t0, phase as u64, njobs as u64, pp.total_lines as u64);
-            }
-
-            // 5. Ship carries downstream (unless this was the last phase).
-            if phase + 1 < nphases {
-                if downstream == rank {
-                    *local_carry = outgoing;
-                } else {
-                    comm.send(downstream, tag_base + phase as u64 + 1, outgoing);
-                }
-            } else {
-                comm.recycle(outgoing);
-            }
+        // The carry queues are non-empty only after an execute that
+        // unwound mid-sweep.
+        for q in [&mut *cur, &mut *next, &mut *local_cur, &mut *local_next] {
+            q.clear();
         }
-    }
-
-    /// Pipelined mode: each phase's precompiled chunk spans ship eagerly
-    /// (the phase loop of [`crate::pipeline`], chunk layout precompiled).
-    fn execute_pipelined<C: Communicator, K: LineSweepKernel + ?Sized>(
-        &mut self,
-        comm: &mut C,
-        store: &mut RankStore,
-        kernel: &K,
-    ) {
-        let (rank, upstream, downstream) = (self.rank, self.upstream, self.downstream);
-        let CompiledSweep {
-            key,
-            d,
-            phases,
-            fms,
-            workers,
-            pool,
-            simd,
-            ..
-        } = self;
-        let clen = key.carry_len;
-        let dir = key.direction;
-        let tag_base = key.tag_base;
-        let nphases = phases.len();
-
-        // Double-buffered carry store (see [`crate::pipeline`] for the
-        // protocol): sub-messages for the current phase pop from `cur`;
-        // eager next-phase arrivals drain into `next`.
-        let mut cur: VecDeque<Vec<f64>> = VecDeque::new();
-        let mut next: VecDeque<Vec<f64>> = VecDeque::new();
-        let mut local_cur: VecDeque<Vec<f64>> = VecDeque::new();
-        let mut local_next: VecDeque<Vec<f64>> = VecDeque::new();
 
         for phase in 0..nphases {
             let pp = &phases[phase];
@@ -799,8 +638,8 @@ impl CompiledSweep {
                 phases[phase + 1].chunks.len()
             };
 
-            std::mem::swap(&mut cur, &mut next);
-            std::mem::swap(&mut local_cur, &mut local_next);
+            std::mem::swap(cur, next);
+            std::mem::swap(local_cur, local_next);
             debug_assert!(next.is_empty() && local_next.is_empty());
 
             refresh_fms(fms, pp, store, &key.fields);
@@ -881,6 +720,24 @@ impl CompiledSweep {
                 "phase {phase}: more sub-messages arrived than chunks exist \
                  (ranks disagree on pipeline_chunks?)"
             );
+        }
+    }
+
+    /// Like [`CompiledSweep::execute`], but any unwind inside the sweep —
+    /// a kernel assertion, a worker-pool panic, a receive deadline, or a
+    /// peer rank's failure — comes back as a typed [`SweepError`] after
+    /// aborting the surrounding run ([`Communicator::abort`]), so the
+    /// other ranks unwind with `RankFailed` instead of deadlocking on the
+    /// messages this sweep will never send.
+    pub fn try_execute<C: Communicator, K: LineSweepKernel + ?Sized>(
+        &mut self,
+        comm: &mut C,
+        store: &mut RankStore,
+        kernel: &K,
+    ) -> Result<(), SweepError> {
+        match catch_unwind(AssertUnwindSafe(|| self.execute(comm, store, kernel))) {
+            Ok(()) => Ok(()),
+            Err(payload) => Err(SweepError::from_unwind(comm, payload)),
         }
     }
 }
@@ -965,8 +822,8 @@ impl SweepEngine {
     }
 
     /// Worker threads the engine's persistent pool holds (0 when running
-    /// single-threaded or with the pool disabled). Flat across steady
-    /// state: sweeps after warm-up spawn no threads.
+    /// single-threaded). Flat across steady state: sweeps after warm-up
+    /// spawn no threads.
     pub fn pool_threads_spawned(&self) -> usize {
         self.pool.as_ref().map_or(0, |p| p.threads_spawned())
     }
@@ -1038,10 +895,10 @@ impl SweepEngine {
             // the zero-overhead telemetry contract (clock never read in
             // steady state when tracing is off) is preserved.
             let t0 = Instant::now();
-            if self.pool.is_none() && self.opts.pool && self.opts.threads.max(1) > 1 {
+            if self.pool.is_none() && self.opts.threads.max(1) > 1 {
                 self.pool = Some(Arc::new(WorkerPool::new(self.opts.threads.max(1) - 1)));
             }
-            let cs = CompiledSweep::build_with_pool(
+            let cs = CompiledSweep::build_on_pool(
                 mp,
                 comm.rank(),
                 store,
@@ -1375,8 +1232,8 @@ mod tests {
 
     #[test]
     fn message_lens_cover_the_wire() {
-        // Aggregated: one length per phase boundary; pipelined: the chunk
-        // spans. Both must sum (over phases) to the same payload.
+        // One chunk: one length per phase boundary; several chunks: the
+        // chunk spans. Both must sum (over phases) to the same payload.
         let mp = Multipartitioning::from_partitioning(4, Partitioning::new(vec![2, 2, 2]));
         let grid = grid_for(&mp, &[8, 8, 8]);
         let k = PrefixSumKernel::new(0);
@@ -1502,8 +1359,8 @@ mod tests {
 
     /// The tentpole assertion: after warm-up, sweeping through an engine
     /// spawns zero threads (pool dispatch only) and allocates zero
-    /// transport buffers (recycle pool always hits), in both aggregated
-    /// and pipelined modes.
+    /// transport buffers (recycle pool always hits), with one and with
+    /// three carry chunks per phase boundary.
     #[test]
     fn steady_state_spawns_and_allocates_nothing() {
         let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
@@ -1556,81 +1413,6 @@ mod tests {
                 assert_eq!(engine.builds(), 6, "steady state rebuilt plans");
             });
         }
-    }
-
-    /// Pool on vs pool off: bitwise-identical results and an identical
-    /// wire schedule (the pool changes thread orchestration only).
-    #[test]
-    fn pool_matches_spawn_per_phase_exactly() {
-        let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
-        let eta = [12usize, 13, 11];
-        let k = FirstOrderKernel::new(0, 0.8);
-        let fields = [FieldDef::new("u", 0)];
-        let grid = grid_for(&mp, &eta);
-        let run = |opts: SweepOptions| {
-            let (mp, grid, k, fields) = (&mp, &grid, &k, &fields);
-            run_threaded(mp.p, move |comm| {
-                let mut store = allocate_rank_store(comm.rank(), mp, grid, fields);
-                store.init_field(0, init_value);
-                let mut engine = SweepEngine::new(opts.clone());
-                for _ in 0..5 {
-                    for dim in 0..3 {
-                        engine.sweep(comm, &mut store, mp, dim, Direction::Forward, k, 1000);
-                    }
-                }
-                (store, comm.sent_messages, comm.sent_elements)
-            })
-        };
-        let pooled = run(SweepOptions::new(8, 3).with_pipeline_chunks(2));
-        let spawned = run(SweepOptions::new(8, 3)
-            .with_pipeline_chunks(2)
-            .with_pool(false));
-        let mut a = ArrayD::zeros(&eta);
-        let mut b = ArrayD::zeros(&eta);
-        for ((ps, m1, e1), (ss, m2, e2)) in pooled.iter().zip(spawned.iter()) {
-            ps.gather_into(0, &mut a);
-            ss.gather_into(0, &mut b);
-            assert_eq!((m1, e1), (m2, e2), "pool changed the wire schedule");
-        }
-        assert_eq!(a.max_abs_diff(&b), 0.0, "pool changed results");
-    }
-
-    /// Toggling the pool option re-keys the engine's plans (the dispatch
-    /// path is part of what a plan was built for), like `threads` does.
-    #[test]
-    fn engine_rebuilds_on_pool_toggle() {
-        let mp = Multipartitioning::from_partitioning(1, Partitioning::new(vec![2, 2, 1]));
-        let grid = grid_for(&mp, &[4, 4, 2]);
-        let k = PrefixSumKernel::new(0);
-        let mut comm = mp_runtime::comm::SerialComm;
-        let mut store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
-        store.init_field(0, init_value);
-        let cs = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            0,
-            Direction::Forward,
-            &k,
-            0,
-            &SweepOptions::new(4, 1),
-        );
-        assert!(cs.matches(&mp, 0, Direction::Forward, 0, &k, &SweepOptions::new(4, 1)));
-        assert!(!cs.matches(
-            &mp,
-            0,
-            Direction::Forward,
-            0,
-            &k,
-            &SweepOptions::new(4, 1).with_pool(false)
-        ));
-        // And through the engine: same sweep, toggled pool → rebuild.
-        let mut engine = SweepEngine::new(SweepOptions::new(4, 1));
-        engine.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
-        assert_eq!(engine.builds(), 1);
-        // threads = 1 → no pool threads regardless of the option.
-        assert_eq!(engine.pool_threads_spawned(), 0);
-        assert_eq!(engine.pool_dispatches(), 0);
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //! in blocks of [`SweepOptions::block_width`], gathered into contiguous
 //! line-minor buffers so kernels can run an auto-vectorizable inner loop
 //! across lines ([`LineSweepKernel::sweep_block`]). Because the line-major
-//! carry layout *is* the wire layout, the incoming message is copied into
-//! the outgoing buffer once and evolved in place — the communication
-//! schedule (message count, payload sizes, byte order) is identical to
-//! per-line execution. Blocks are independent, so they can additionally be
-//! spread over [`SweepOptions::threads`] worker threads; all scratch
-//! buffers are reused across the γ phases, so steady-state phases allocate
-//! nothing.
+//! carry layout *is* the wire layout, the received message itself is
+//! evolved in place and sent onward by move — the communication schedule
+//! (message count, payload sizes, byte order) is identical to per-line
+//! execution. Blocks are independent, so they can additionally be spread
+//! over [`SweepOptions::threads`] workers of a persistent
+//! [`crate::pool::WorkerPool`]; all scratch buffers are reused across the
+//! γ phases, so steady-state phases allocate nothing.
 //!
 //! Also provides the halo exchange used by stencil phases (e.g. SP's
 //! `compute_rhs`), with the same per-direction aggregation.
@@ -50,23 +50,19 @@ pub struct SweepOptions {
     /// blocked kernels are bit-identical per line at any width).
     pub block_width: usize,
     /// Worker threads per rank for block execution within a phase. `1`
-    /// runs inline on the calling thread.
+    /// runs inline on the calling thread; more dispatch each phase onto a
+    /// persistent [`crate::pool::WorkerPool`] of `threads − 1` workers
+    /// plus the caller.
     pub threads: usize,
-    /// Carry sub-messages per phase boundary. `1` reproduces the aggregated
-    /// one-message-per-phase schedule; `k > 1` switches to **pipelined**
-    /// execution ([`crate::pipeline`]): each phase's block jobs are split
-    /// into `k` contiguous chunks whose carries ship eagerly as soon as
-    /// they are final, overlapping carry communication with the remaining
-    /// chunks' computation. Results are bitwise identical in every mode;
-    /// only the message granularity changes (`k` sub-messages carrying the
-    /// same total payload). All ranks of one sweep must use the same value.
+    /// Carry sub-messages per phase boundary ([`crate::pipeline`]): each
+    /// phase's block jobs are split into `k` contiguous chunks whose
+    /// carries ship eagerly as soon as they are final, overlapping carry
+    /// communication with the remaining chunks' computation. `1` sends
+    /// the paper's one aggregated message per phase boundary through the
+    /// same loop. Results are bitwise identical for every `k`; only the
+    /// message granularity changes (`k` sub-messages carrying the same
+    /// total payload). All ranks of one sweep must use the same value.
     pub pipeline_chunks: usize,
-    /// Execute phases on a persistent [`crate::pool::WorkerPool`] (the
-    /// default) instead of spawning a fresh thread scope per phase. Only
-    /// meaningful with `threads > 1`; results and the wire schedule are
-    /// identical either way — `false` keeps the spawn-per-phase path as an
-    /// A/B baseline.
-    pub pool: bool,
     /// Which kernel vectorization level to use (see [`crate::simd`]):
     /// [`SimdMode::Auto`] (the default) resolves to the widest path the CPU
     /// supports at plan-build time, [`SimdMode::Avx2`] forces the AVX2 path
@@ -86,14 +82,13 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Options with an explicit block width and thread count (aggregated
-    /// single-message schedule, `pipeline_chunks = 1`).
+    /// Options with an explicit block width and thread count (one carry
+    /// message per phase boundary, `pipeline_chunks = 1`).
     pub fn new(block_width: usize, threads: usize) -> Self {
         SweepOptions {
             block_width: block_width.max(1),
             threads: threads.max(1),
             pipeline_chunks: 1,
-            pool: true,
             simd: SimdMode::Auto,
             inplace: InplaceMode::Auto,
         }
@@ -103,12 +98,6 @@ impl SweepOptions {
     /// boundary (clamped to ≥ 1).
     pub fn with_pipeline_chunks(mut self, pipeline_chunks: usize) -> Self {
         self.pipeline_chunks = pipeline_chunks.max(1);
-        self
-    }
-
-    /// Same options with the persistent worker pool enabled or disabled.
-    pub fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -132,7 +121,6 @@ impl SweepOptions {
     /// | `MP_SWEEP_BLOCK`    | lines per block                   | 32      |
     /// | `MP_SWEEP_THREADS`  | worker threads per rank           | 1       |
     /// | `MP_SWEEP_PIPELINE` | carry sub-messages per boundary   | 1       |
-    /// | `MP_SWEEP_POOL`     | persistent worker pool on/off     | on      |
     /// | `MP_SWEEP_SIMD`     | kernel path: `auto`/`avx2`/`scalar` | auto  |
     /// | `MP_SWEEP_INPLACE`  | zero-copy policy: `auto`/`on`/`off` | auto  |
     ///
@@ -141,9 +129,7 @@ impl SweepOptions {
     /// default rather than panicking — env knobs must never abort a run —
     /// but each such variable earns one stderr warning per process naming
     /// the rejected value and the fallback used, so a typo is visible
-    /// instead of silently running untuned. `MP_SWEEP_POOL` is a switch:
-    /// `0`, `false`, or `off` (any case) disable the pool; everything
-    /// else — including unset or malformed — keeps it on.
+    /// instead of silently running untuned.
     pub fn from_env() -> Self {
         if let Ok(s) = std::env::var("MP_SWEEP_SIMD") {
             let t = s.trim().to_ascii_lowercase();
@@ -156,7 +142,6 @@ impl SweepOptions {
             env_usize("MP_SWEEP_THREADS", 1),
         )
         .with_pipeline_chunks(env_usize("MP_SWEEP_PIPELINE", 1))
-        .with_pool(env_switch("MP_SWEEP_POOL"))
         .with_simd(SimdMode::from_env())
         .with_inplace(InplaceMode::from_env())
     }
@@ -208,15 +193,6 @@ pub(crate) fn env_usize_opt(name: &str, fallback: &str) -> Option<usize> {
 /// invalid value warns once via [`warn_invalid_env`].
 pub(crate) fn env_usize(name: &str, default: usize) -> usize {
     env_usize_opt(name, &format!("default {default}")).unwrap_or(default)
-}
-
-/// On/off switch defaulting to on: only an explicit `0` / `false` / `off`
-/// turns it off (see [`SweepOptions::from_env`]).
-pub(crate) fn env_switch(name: &str) -> bool {
-    !std::env::var(name).is_ok_and(|s| {
-        let v = s.trim().to_ascii_lowercase();
-        v == "0" || v == "false" || v == "off"
-    })
 }
 
 impl Default for SweepOptions {
@@ -273,8 +249,8 @@ pub(crate) struct BlockJob {
     /// Lines in this block.
     pub(crate) nlines: usize,
     /// Start of the block's carries, in elements from the start of the
-    /// *phase's* carry stream (the pipelined mode subtracts its chunk's
-    /// base to address within a sub-message buffer).
+    /// *phase's* carry stream (the phase loop subtracts its chunk's base
+    /// to address within a sub-message buffer).
     pub(crate) carry_off: usize,
 }
 
@@ -426,9 +402,9 @@ fn decode_lines<K: LineSweepKernel + ?Sized>(
 
 /// Run one block job: decode its line bases, gather the lines into the
 /// worker's block buffers, sweep, and scatter back. The block's carries
-/// live in `out` — the phase's outgoing message (aggregated mode,
-/// `carry_base = 0`) or one chunk's sub-message (pipelined mode,
-/// `carry_base` = the chunk's first carry element).
+/// live in `out` — one chunk's carry message, whose first element is the
+/// phase-global carry element `carry_base` (0 when the phase is a single
+/// chunk).
 fn run_block<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     job: &BlockJob,
@@ -631,10 +607,9 @@ unsafe impl Sync for ScratchPtr {}
 /// `sh.jobs`, precomputed load-balanced at plan-build time) against the
 /// carry buffer `out`, whose first element is the phase-global carry
 /// element `carry_base`. A single span runs inline on the caller; multiple
-/// spans run one per worker — on the persistent `pool` when given (zero
-/// thread spawns), else on a fresh thread scope (the A/B baseline). Jobs
-/// touch disjoint lines and disjoint carry ranges, so spans are
-/// independent.
+/// spans run one per worker on the persistent `pool` (zero thread spawns),
+/// which every multi-threaded plan holds. Jobs touch disjoint lines and
+/// disjoint carry ranges, so spans are independent.
 pub(crate) fn run_jobs<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     spans: &[(usize, usize)],
@@ -656,30 +631,19 @@ pub(crate) fn run_jobs<K: LineSweepKernel + ?Sized>(
         return;
     }
     debug_assert!(workers.len() >= nw, "fewer scratch sets than spans");
-    if let Some(pool) = pool {
-        let base = ScratchPtr(workers.as_mut_ptr());
-        let task = move |wi: usize| {
-            let base = &base;
-            let (lo, hi) = spans[wi];
-            // SAFETY: the pool dispatches each worker index exactly once
-            // per run, so scratch slot `wi` is exclusively this worker's.
-            let w = unsafe { &mut *base.0.add(wi) };
-            for job in &sh.jobs[lo..hi] {
-                run_one(sh, job, out, carry_base, w);
-            }
-        };
-        pool.run(nw, &task);
-    } else {
-        std::thread::scope(|s| {
-            for ((lo, hi), w) in spans.iter().copied().zip(workers.iter_mut()) {
-                s.spawn(move || {
-                    for job in &sh.jobs[lo..hi] {
-                        run_one(sh, job, out, carry_base, w);
-                    }
-                });
-            }
-        });
-    }
+    let pool = pool.expect("multi-worker spans need the plan's worker pool");
+    let base = ScratchPtr(workers.as_mut_ptr());
+    let task = move |wi: usize| {
+        let base = &base;
+        let (lo, hi) = spans[wi];
+        // SAFETY: the pool dispatches each worker index exactly once
+        // per run, so scratch slot `wi` is exclusively this worker's.
+        let w = unsafe { &mut *base.0.add(wi) };
+        for job in &sh.jobs[lo..hi] {
+            run_one(sh, job, out, carry_base, w);
+        }
+    };
+    pool.run(nw, &task);
 }
 
 /// Execute one multipartitioned line sweep with default [`SweepOptions`].
@@ -718,10 +682,9 @@ pub fn multipart_sweep<C: Communicator, K: LineSweepKernel>(
 /// [`multipart_sweep`] with explicit execution options. Results are
 /// identical for every option setting; `block_width` and `threads` trade
 /// only intra-rank execution strategy (the communication schedule stays
-/// byte-identical), while `pipeline_chunks > 1` selects the **pipelined**
-/// mode (see [`crate::pipeline`]), which ships each phase's carries as
-/// that many eagerly sent sub-messages (same total payload, same byte
-/// order).
+/// byte-identical), while `pipeline_chunks > 1` ships each phase's
+/// carries as that many eagerly sent sub-messages (see
+/// [`crate::pipeline`]; same total payload, same byte order).
 ///
 /// This is now a thin build-then-execute wrapper over
 /// [`crate::compiled::CompiledSweep`]: callers that run the same sweep

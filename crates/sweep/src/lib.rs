@@ -14,8 +14,9 @@
 //!   [`compiled::CompiledSweep`], the per-`(dim, direction)` cache
 //!   [`compiled::SweepEngine`], and the driver-level
 //!   [`compiled::SolverPlan`];
-//! * [`pipeline`] — the pipelined execution mode: per-phase carries split
-//!   into eagerly sent sub-messages that overlap with block computation;
+//! * [`pipeline`] — the carry protocol of the phase loop: per-phase
+//!   carries split into eagerly sent chunk messages that overlap with
+//!   block computation (one chunk = the paper's aggregated message);
 //! * [`pool`] — the persistent per-rank [`pool::WorkerPool`] that executes
 //!   phases without per-phase thread spawns;
 //! * [`simd`] — lane-vectorized (AVX2) fast paths for the hot kernels with

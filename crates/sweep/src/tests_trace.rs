@@ -3,6 +3,7 @@
 //! tracing must never change sweep results.
 
 use crate::executor::{allocate_rank_store, multipart_sweep_opts, SweepOptions};
+use crate::inplace::InplaceMode;
 use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
 use mp_core::cost::CostModel;
 use mp_core::multipart::{Direction, Multipartitioning};
@@ -87,24 +88,18 @@ fn aggregated_recorder_counters_match_comm() {
                 "rank {rank} dim {dim}"
             );
             assert!(stats.compute_ns > 0, "rank {rank} dim {dim}");
-            if dim == 2 {
-                // The last dim sweeps along the unit-stride axis, so it
-                // always gathers/scatters and must record pack time.
-                assert!(stats.pack_ns > 0, "rank {rank} dim {dim}");
-            }
+            // Carries are relayed by move, never staged through a copy, so
+            // sweeps record no pack spans in any mode.
+            assert_eq!(stats.pack_ns, 0, "rank {rank} dim {dim}");
         }
-        // Forcing packed execution restores pack spans on every dim: the
-        // zero-copy mode is the only thing that can remove them.
-        let (_, packed) = run_traced(
-            &mp,
-            &eta,
-            dim,
-            Direction::Forward,
-            &k,
-            &SweepOptions::new(4, 1).with_inplace(crate::inplace::InplaceMode::Off),
-        );
-        for (rank, (stats, _, _)) in packed.iter().enumerate() {
-            assert!(stats.pack_ns > 0, "packed rank {rank} dim {dim}");
+        // Forced in-place or forced packed (gather/scatter through block
+        // scratch): carries still travel by move, so no pack spans either.
+        for mode in [InplaceMode::On, InplaceMode::Off] {
+            let opts = SweepOptions::new(4, 1).with_inplace(mode);
+            let (_, forced) = run_traced(&mp, &eta, dim, Direction::Forward, &k, &opts);
+            for (rank, (stats, _, _)) in forced.iter().enumerate() {
+                assert_eq!(stats.pack_ns, 0, "{mode:?} rank {rank} dim {dim}");
+            }
         }
     }
 }

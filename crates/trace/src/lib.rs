@@ -4,7 +4,7 @@
 //!
 //! The paper's cost model (§3.1) predicts where sweep time goes —
 //! `T_i(p) = K1·η/p + (γ_i−1)·λ_i` splits a sweep into block compute and
-//! carry-latency terms — and the pipelined executor exists to hide the
+//! carry-latency terms — and chunked carry messages exist to hide the
 //! latter under the former. This crate makes that overlap *observable* on
 //! real runs: each rank owns a [`SweepRecorder`] (single-writer, lock-free
 //! by construction) that captures compute, comm-wait, pack/unpack and
