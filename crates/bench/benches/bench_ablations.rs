@@ -43,7 +43,7 @@ fn bench_ablations(c: &mut Criterion) {
 
     PRINT_ONCE.call_once(|| {
         let mut agg = SimNet::new(8, machine);
-        simulate_multipart_sweep(&mut agg, &geo, dim, &work, 0);
+        simulate_multipart_sweep(&mut agg, &geo, dim, &work, 1, 0);
         let mut una = SimNet::new(8, machine);
         simulate_multipart_sweep_unaggregated(&mut una, &mp, &grid, dim, &work, 0);
         eprintln!(
@@ -69,7 +69,7 @@ fn bench_ablations(c: &mut Criterion) {
     group.bench_function("aggregated", |b| {
         b.iter(|| {
             let mut net = SimNet::new(8, machine);
-            simulate_multipart_sweep(&mut net, &geo, black_box(dim), &work, 0);
+            simulate_multipart_sweep(&mut net, &geo, black_box(dim), &work, 1, 0);
             net.makespan()
         })
     });

@@ -15,9 +15,7 @@ use mp_sweep::executor::{
     allocate_rank_store, multipart_sweep, multipart_sweep_opts, SweepOptions,
 };
 use mp_sweep::recurrence::PrefixSumKernel;
-use mp_sweep::simulate::{
-    simulate_multipart_sweep, simulate_multipart_sweep_pipelined, MultipartGeometry, SweepWork,
-};
+use mp_sweep::simulate::{simulate_multipart_sweep, MultipartGeometry, SweepWork};
 use mp_sweep::verify::serial_sweep;
 use mp_sweep::{BatchedKernel, PlanShape, SweepEngine, TunedOptions};
 use std::hint::black_box;
@@ -196,62 +194,6 @@ fn bench_sweep(c: &mut Criterion) {
                 })
             })
         });
-        group.finish();
-    }
-
-    // Zero-copy A/B: the identical engine-driven sweep along dim 0 (whose
-    // lines are unit-stride in the lane dimension, so every phase is
-    // eligible) forced in-place vs forced packed. Same kernels, same jobs,
-    // byte-identical wire schedule — the gap is exactly the gather/scatter
-    // round trip every packed phase pays and the in-place mode skips. The
-    // 48³ grid gives 48·48 = 2304 lines per slab (≥ 64 everywhere), the
-    // regime where the issue targets ≥ 1.3×.
-    {
-        use mp_sweep::InplaceMode;
-        const SWEEPS: usize = 10;
-        let p = 2u64;
-        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(vec![2, 2, 1]));
-        let peta = [48usize, 48, 48];
-        let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-        let grid = TileGrid::new(&peta, &gam);
-        let mut group = c.benchmark_group("inplace_vs_packed");
-        group.throughput(Throughput::Elements(
-            (peta.iter().product::<usize>() * SWEEPS) as u64,
-        ));
-        group.sample_size(20);
-        for (label, mode) in [("inplace", InplaceMode::On), ("packed", InplaceMode::Off)] {
-            let opts = SweepOptions::new(32, 1).with_inplace(mode);
-            group.bench_with_input(
-                BenchmarkId::new("engine_48_p2_dim0", label),
-                &label,
-                |b, _| {
-                    b.iter(|| {
-                        run_threaded(p, |comm| {
-                            let mut store = allocate_rank_store(
-                                comm.rank(),
-                                &mp,
-                                &grid,
-                                &[FieldDef::new("u", 0)],
-                            );
-                            store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                            let mut engine = SweepEngine::new(opts.clone());
-                            for _ in 0..SWEEPS {
-                                engine.sweep(
-                                    comm,
-                                    &mut store,
-                                    &mp,
-                                    0,
-                                    Direction::Forward,
-                                    &kernel,
-                                    100,
-                                );
-                            }
-                            black_box(comm.sent_elements)
-                        })
-                    })
-                },
-            );
-        }
         group.finish();
     }
 
@@ -514,7 +456,7 @@ fn bench_sweep(c: &mut Criterion) {
                     p,
                     mp_core::machine::MachineProfile::sp_origin2000().cost_model(),
                 );
-                simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 0);
+                simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 1, 0);
                 black_box(net.makespan())
             })
         });
@@ -527,14 +469,7 @@ fn bench_sweep(c: &mut Criterion) {
                         p,
                         mp_core::machine::MachineProfile::sp_origin2000().cost_model(),
                     );
-                    simulate_multipart_sweep_pipelined(
-                        &mut net,
-                        &geo,
-                        0,
-                        &SweepWork::default(),
-                        4,
-                        0,
-                    );
+                    simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 4, 0);
                     black_box(net.makespan())
                 })
             },

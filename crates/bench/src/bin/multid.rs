@@ -54,6 +54,7 @@ fn main() {
                     &geo,
                     dim,
                     &SweepWork::default(),
+                    1,
                     dim as u64 * 1_000,
                 );
             }

@@ -34,6 +34,7 @@ fn simulated_adi_time(p: u64, eta: &[usize; 3], gammas: &[u64; 3]) -> f64 {
             &geo,
             dim,
             &SweepWork::default(),
+            1,
             dim as u64 * 1000,
         );
     }

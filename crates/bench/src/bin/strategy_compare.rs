@@ -41,7 +41,7 @@ fn main() {
         let geo = MultipartGeometry::new(&mp, &grid);
         let mut net = SimNet::new(p, machine);
         for dim in 0..3 {
-            simulate_multipart_sweep(&mut net, &geo, dim, &work, dim as u64 * 1000);
+            simulate_multipart_sweep(&mut net, &geo, dim, &work, 1, dim as u64 * 1000);
         }
         let t_multi = net.makespan();
 

@@ -69,7 +69,7 @@ fn main() {
     let geo = MultipartGeometry::new(&mp, &grid);
     let mut net = SimNet::new(p, machine);
     net.enable_trace();
-    simulate_multipart_sweep(&mut net, &geo, 0, &work, 0);
+    simulate_multipart_sweep(&mut net, &geo, 0, &work, 1, 0);
     render(
         &net,
         p,

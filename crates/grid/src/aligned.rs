@@ -36,6 +36,8 @@ pub struct AlignedVec {
 
 // SAFETY: AlignedVec owns its allocation exclusively, exactly like Vec<f64>.
 unsafe impl Send for AlignedVec {}
+// SAFETY: shared references only hand out `&[f64]`; mutation needs
+// `&mut self`, exactly like Vec<f64>.
 unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {

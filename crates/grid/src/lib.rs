@@ -11,6 +11,7 @@
 //! provides geometry, storage, and pack/unpack primitives that both build on.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod aligned;
 pub mod array;

@@ -87,12 +87,26 @@ pub fn simulate_bt(
                 work_per_element: factors.forward,
                 carry_len: BT_CARRY_PER_LINE,
             };
-            simulate_multipart_sweep(&mut net, &geo, dim, &fwd, tag0 + 1_000 + dim as u64 * 100);
+            simulate_multipart_sweep(
+                &mut net,
+                &geo,
+                dim,
+                &fwd,
+                1,
+                tag0 + 1_000 + dim as u64 * 100,
+            );
             let bwd = SweepWork {
                 work_per_element: factors.backward,
                 carry_len: (NCOMP + 1) as u64,
             };
-            simulate_multipart_sweep(&mut net, &geo, dim, &bwd, tag0 + 2_000 + dim as u64 * 100);
+            simulate_multipart_sweep(
+                &mut net,
+                &geo,
+                dim,
+                &bwd,
+                1,
+                tag0 + 2_000 + dim as u64 * 100,
+            );
         }
         for r in 0..p {
             net.compute_seconds(r, vol[r as usize] as f64 * factors.add * net.model().k1);
@@ -152,12 +166,12 @@ mod tests {
                     work_per_element: 1.0,
                     carry_len: fwd_carry,
                 };
-                simulate_multipart_sweep(&mut net, &geo, dim, &fwd, 1_000 + dim as u64 * 100);
+                simulate_multipart_sweep(&mut net, &geo, dim, &fwd, 1, 1_000 + dim as u64 * 100);
                 let bwd = SweepWork {
                     work_per_element: 1.0,
                     carry_len: bwd_carry,
                 };
-                simulate_multipart_sweep(&mut net, &geo, dim, &bwd, 2_000 + dim as u64 * 100);
+                simulate_multipart_sweep(&mut net, &geo, dim, &bwd, 1, 2_000 + dim as u64 * 100);
             }
             (net.stats.messages, net.stats.elements)
         };

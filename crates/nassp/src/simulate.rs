@@ -127,12 +127,26 @@ pub fn simulate_sp(
                 work_per_element: factors.forward,
                 carry_len: SP_CARRY_PER_LINE,
             };
-            simulate_multipart_sweep(&mut net, &geo, dim, &fwd, tag0 + 1_000 + dim as u64 * 100);
+            simulate_multipart_sweep(
+                &mut net,
+                &geo,
+                dim,
+                &fwd,
+                1,
+                tag0 + 1_000 + dim as u64 * 100,
+            );
             let bwd = SweepWork {
                 work_per_element: factors.backward,
                 carry_len: SP_CARRY_PER_LINE,
             };
-            simulate_multipart_sweep(&mut net, &geo, dim, &bwd, tag0 + 2_000 + dim as u64 * 100);
+            simulate_multipart_sweep(
+                &mut net,
+                &geo,
+                dim,
+                &bwd,
+                1,
+                tag0 + 2_000 + dim as u64 * 100,
+            );
         }
         // 4. add (local)
         for r in 0..p {

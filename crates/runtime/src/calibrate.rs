@@ -196,7 +196,6 @@ pub fn calibrate_transport(opts: &CalibrationOpts) -> TransportFit {
 pub struct Calibrator {
     opts: CalibrationOpts,
     k1: BTreeMap<String, f64>,
-    k4: f64,
 }
 
 impl Calibrator {
@@ -205,7 +204,6 @@ impl Calibrator {
         Calibrator {
             opts,
             k1: BTreeMap::new(),
-            k4: 0.0,
         }
     }
 
@@ -222,16 +220,6 @@ impl Calibrator {
         let per_elem = (secs / elements_per_call as f64).max(1e-12);
         self.k1.insert(key.to_string(), per_elem);
         per_elem
-    }
-
-    /// Time one call of `f` (which must gather + scatter
-    /// `elements_per_call` elements through the line packers), record
-    /// `seconds/element` as the profile's `K4`, and return it.
-    pub fn measure_pack(&mut self, elements_per_call: u64, f: impl FnMut()) -> f64 {
-        assert!(elements_per_call > 0, "pack benchmark moves no elements");
-        let secs = measure_min_secs(self.opts.warmup, self.opts.reps, f);
-        self.k4 = (secs / elements_per_call as f64).max(1e-12);
-        self.k4
     }
 
     /// Set the [`K1_DEFAULT`] entry to the mean of the named entries
@@ -266,7 +254,6 @@ impl Calibrator {
             k1: self.k1,
             k2,
             k3,
-            k4: self.k4,
             scaling: BandwidthScaling::Fixed,
             provenance: Provenance::Measured,
         }
@@ -283,8 +270,8 @@ pub fn profile_to_json(p: &MachineProfile) -> String {
     json::escape_into(&mut out, p.provenance.name());
     let _ = write!(
         out,
-        ",\n  \"k2\": {},\n  \"k3\": {},\n  \"k4\": {},\n  \"scaling\": ",
-        p.k2, p.k3, p.k4
+        ",\n  \"k2\": {},\n  \"k3\": {},\n  \"scaling\": ",
+        p.k2, p.k3
     );
     json::escape_into(
         &mut out,
@@ -333,9 +320,6 @@ pub fn profile_from_json(text: &str) -> Result<MachineProfile, CalibrationError>
     };
     let k2 = field_f64(&doc, "k2")?;
     let k3 = field_f64(&doc, "k3")?;
-    // K4 arrived after the first calibration files were written; a missing
-    // field reads as 0.0 ("unknown"), never as a parse error.
-    let k4 = doc.get("k4").and_then(|v| v.as_f64()).unwrap_or(0.0);
     let mut k1 = BTreeMap::new();
     match doc.get("k1") {
         Some(JsonValue::Object(map)) => {
@@ -352,7 +336,6 @@ pub fn profile_from_json(text: &str) -> Result<MachineProfile, CalibrationError>
         k1,
         k2,
         k3,
-        k4,
         scaling,
         provenance,
     })
@@ -437,7 +420,6 @@ mod tests {
         prof.k1.insert("penta_backward@scalar".into(), 7.73e-9);
         prof.k2 = 3.141592653589793e-6;
         prof.k3 = 0.1234567890123456e-9;
-        prof.k4 = 1.9876543210987654e-8;
         let text = profile_to_json(&prof);
         let back = profile_from_json(&text).unwrap();
         assert_eq!(back, prof);
@@ -446,13 +428,17 @@ mod tests {
     }
 
     #[test]
-    fn json_missing_k4_reads_as_unknown() {
-        // Pre-K4 calibration files must keep loading; k4 = 0.0 marks the
-        // constant as unmeasured.
-        let legacy = r#"{"provenance":"measured","k2":1e-6,"k3":2e-9,
-            "scaling":"fixed","k1":{"default":5e-8}}"#;
+    fn json_legacy_k4_and_strided_keys_load() {
+        // Older calibration files carry a `k4` pack constant and
+        // `<kernel>@<simd>+strided` K1 entries. They must keep loading,
+        // and the extra keys must not move the default K1.
+        let legacy = r#"{"provenance":"measured","k2":1e-6,"k3":2e-9,"k4":3e-9,
+            "scaling":"fixed","k1":{"default":5e-8,"thomas_forward@avx2":1e-9,
+            "thomas_forward@avx2+strided":2e-9}}"#;
         let prof = profile_from_json(legacy).unwrap();
-        assert_eq!(prof.k4, 0.0);
+        assert_eq!(prof.k1_default(), 5e-8);
+        assert_eq!(prof.k1_for("thomas_forward@avx2"), 1e-9);
+        assert_eq!((prof.k2, prof.k3), (1e-6, 2e-9));
     }
 
     #[test]
@@ -507,12 +493,7 @@ mod tests {
         c.measure_kernel("k_b", 1_000_000, || {
             std::hint::black_box((0..1000).sum::<u64>());
         });
-        let k4 = c.measure_pack(1_000_000, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(k4 > 0.0);
         let prof = c.finish(2.0e-6, 1.0e-9);
-        assert_eq!(prof.k4, k4);
         assert_eq!(prof.provenance, Provenance::Measured);
         assert_eq!(prof.scaling, BandwidthScaling::Fixed);
         assert!(prof.k1.contains_key(K1_DEFAULT));

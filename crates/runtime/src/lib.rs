@@ -39,6 +39,7 @@
 //! [`threaded::run_threaded_result`] for the non-panicking entry point.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod calibrate;
 pub mod comm;

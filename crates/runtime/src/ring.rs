@@ -55,6 +55,8 @@ pub(crate) struct SpscRing {
 // consumer reads slot `head` after its acquire load of `tail` — so no slot
 // is ever accessed concurrently from both sides.
 unsafe impl Sync for SpscRing {}
+// SAFETY: the ring owns its slots; moving it to another thread moves the
+// `Slot` payloads (`Tag` and `Vec<f64>`, both `Send`) with it.
 unsafe impl Send for SpscRing {}
 
 impl SpscRing {

@@ -31,7 +31,6 @@ use crate::executor::{
     exchange_halos_planned, make_workers, BlockJob, FieldMeta, RawParts, SharedPhase, SweepOptions,
     WorkerScratch,
 };
-use crate::inplace::{decide_inplace, InplaceMode};
 use crate::pool::WorkerPool;
 use crate::recurrence::LineSweepKernel;
 use crate::simd::{SimdLevel, SimdMode};
@@ -108,9 +107,6 @@ pub struct PlanKey {
     /// Requested SIMD dispatch mode (resolved to a concrete level once at
     /// build time — see [`CompiledSweep::simd_level`]).
     pub simd: SimdMode,
-    /// Requested zero-copy policy (resolved to a concrete per-phase choice
-    /// at build time — see [`CompiledSweep::phase_inplace`]).
-    pub inplace: InplaceMode,
 }
 
 /// One pipelined chunk: a contiguous job range and its carry element span
@@ -156,11 +152,10 @@ struct PhasePlan {
     /// build time so steady-state dispatch does no span arithmetic and no
     /// allocation.
     chunk_wspans: Vec<Vec<(usize, usize)>>,
-    /// Resolved execution mode: run this phase's jobs in place on tile
-    /// storage (zero-copy) instead of gather/scatter through block
-    /// scratch. Decided once at build time from [`SweepOptions::inplace`],
-    /// the phase geometry, and the calibrated cost model
-    /// (see [`crate::inplace`]).
+    /// Execution mode: run this phase's jobs in place on tile storage
+    /// (zero-copy) instead of gather/scatter through block scratch.
+    /// Decided once at build time from the phase geometry and the kernel
+    /// alone: in place exactly when the phase is eligible.
     inplace: bool,
 }
 
@@ -392,17 +387,18 @@ impl CompiledSweep {
                 .map(|c| balanced_spans(&pp.jobs, c.jlo, c.jhi, threads))
                 .collect();
 
-            // Resolve the phase's execution mode. Geometric precondition
-            // for zero-copy: the swept dimension is not the tile's last
-            // (unit-stride) axis — lines contiguous along the last axis
-            // then form unit-lane strided views of tile storage — and
+            // The phase's execution mode. It runs in place (zero-copy)
+            // exactly when it can: the swept dimension is not the tile's
+            // last (unit-stride) axis — lines contiguous along the last
+            // axis then form unit-lane strided views of tile storage —,
             // every field's last-axis stride really is 1 (row-major
-            // storage; checked, not assumed). The job/chunk tables above
-            // are mode-independent, so the wire schedule cannot change.
+            // storage; checked, not assumed), and the kernel has a strided
+            // entry point. Otherwise it gathers through packed scratch.
+            // The job/chunk tables above are mode-independent, so the wire
+            // schedule cannot change.
             let lane_unit =
                 (0..pp.tiles.len() * nfields).all(|s| pp.fm_strides[s * d + (d - 1)] == 1);
-            let eligible = d >= 2 && dim + 1 != d && kernel.supports_strided() && lane_unit;
-            pp.inplace = decide_inplace(opts.inplace, eligible, kernel.kernel_name(), simd_level);
+            pp.inplace = d >= 2 && dim + 1 != d && kernel.supports_strided() && lane_unit;
             phases.push(pp);
         }
 
@@ -418,7 +414,6 @@ impl CompiledSweep {
                 block_width: bw,
                 pipeline_chunks: kmax,
                 simd: opts.simd,
-                inplace: opts.inplace,
             },
             rank,
             d,
@@ -455,8 +450,8 @@ impl CompiledSweep {
     /// The resolved per-phase execution mode, in phase order: `true` means
     /// the phase runs zero-copy (in-place strided kernels, carries written
     /// directly into the send buffer), `false` means it gathers through
-    /// packed line-minor scratch. Decided once at build time; `mpart
-    /// profile` reports these.
+    /// packed line-minor scratch. Decided once at build time from the
+    /// layout and the kernel; `mpart profile` reports these.
     pub fn phase_inplace(&self) -> Vec<bool> {
         self.phases.iter().map(|pp| pp.inplace).collect()
     }
@@ -483,7 +478,6 @@ impl CompiledSweep {
             && self.key.block_width == opts.block_width.max(1)
             && self.key.pipeline_chunks == opts.pipeline_chunks.max(1)
             && self.key.simd == opts.simd
-            && self.key.inplace == opts.inplace
             && self.threads == opts.threads.max(1)
     }
 
@@ -1416,66 +1410,22 @@ mod tests {
     }
 
     #[test]
-    fn engine_rebuilds_on_inplace_toggle() {
+    fn layout_picks_inplace_off_the_unit_stride_axis() {
         let mp = Multipartitioning::from_partitioning(1, Partitioning::new(vec![2, 2, 1]));
         let grid = grid_for(&mp, &[4, 4, 2]);
         let k = PrefixSumKernel::new(0);
         let mut store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
         store.init_field(0, init_value);
         let opts = SweepOptions::new(1, 1);
-        let cs = CompiledSweep::build(&mp, 0, &store, 0, Direction::Forward, &k, 0, &opts);
-        // The requested policy is part of the cache key even when the
-        // resolved per-phase choices happen to coincide.
-        assert!(cs.matches(&mp, 0, Direction::Forward, 0, &k, &opts));
-        assert!(!cs.matches(
-            &mp,
-            0,
-            Direction::Forward,
-            0,
-            &k,
-            &opts.clone().with_inplace(InplaceMode::Off)
-        ));
-        // Sweeping dim 0 of a 3-d grid is eligible, so On resolves every
-        // phase to in-place and Off to packed.
-        let on = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            0,
-            Direction::Forward,
-            &k,
-            0,
-            &opts.clone().with_inplace(InplaceMode::On),
-        );
-        assert!(
-            on.phase_inplace().iter().all(|&b| b),
-            "{:?}",
-            on.phase_inplace()
-        );
-        let off = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            0,
-            Direction::Forward,
-            &k,
-            0,
-            &opts.clone().with_inplace(InplaceMode::Off),
-        );
-        assert!(off.phase_inplace().iter().all(|&b| !b));
-        // The last dimension sweeps along the unit-stride axis: never
-        // eligible, even when forced On.
-        let last = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            2,
-            Direction::Forward,
-            &k,
-            0,
-            &opts.with_inplace(InplaceMode::On),
-        );
-        assert!(last.phase_inplace().iter().all(|&b| !b));
+        // Dims 0 and 1 of a 3-d grid sweep across the unit-stride axis, so
+        // every phase runs in place; dim 2 sweeps along it, so every phase
+        // runs packed.
+        for (dim, inplace) in [(0, true), (1, true), (2, false)] {
+            let cs = CompiledSweep::build(&mp, 0, &store, dim, Direction::Forward, &k, 0, &opts);
+            let modes = cs.phase_inplace();
+            assert!(!modes.is_empty());
+            assert!(modes.iter().all(|&b| b == inplace), "dim {dim}: {modes:?}");
+        }
     }
 
     #[test]

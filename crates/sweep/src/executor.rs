@@ -29,7 +29,6 @@
 //! Also provides the halo exchange used by stencil phases (e.g. SP's
 //! `compute_rhs`), with the same per-direction aggregation.
 
-use crate::inplace::InplaceMode;
 use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use crate::simd::{SimdLevel, SimdMode};
 use mp_core::multipart::{Direction, Multipartitioning};
@@ -65,20 +64,9 @@ pub struct SweepOptions {
     pub pipeline_chunks: usize,
     /// Which kernel vectorization level to use (see [`crate::simd`]):
     /// [`SimdMode::Auto`] (the default) resolves to the widest path the CPU
-    /// supports at plan-build time, [`SimdMode::Avx2`] forces the AVX2 path
-    /// (panics at plan build if the CPU lacks it), [`SimdMode::Scalar`]
-    /// forces the portable scalar path. Results are bitwise identical in
-    /// every mode; the knob exists for A/B measurement and as an escape
-    /// hatch.
+    /// supports at plan-build time, [`SimdMode::Scalar`] forces the
+    /// portable scalar path. Results are bitwise identical in both modes.
     pub simd: SimdMode,
-    /// Zero-copy execution policy (see [`crate::inplace`]):
-    /// [`InplaceMode::Auto`] (the default) runs eligible phases in place
-    /// on tile storage — no gather/scatter, carries written directly into
-    /// the send buffer — exactly when the calibrated cost model says the
-    /// strided kernel beats packed-plus-pack-cost; [`InplaceMode::On`] /
-    /// [`InplaceMode::Off`] force the choice. Results and the wire
-    /// schedule are bitwise identical in every mode.
-    pub inplace: InplaceMode,
 }
 
 impl SweepOptions {
@@ -90,7 +78,6 @@ impl SweepOptions {
             threads: threads.max(1),
             pipeline_chunks: 1,
             simd: SimdMode::Auto,
-            inplace: InplaceMode::Auto,
         }
     }
 
@@ -107,12 +94,6 @@ impl SweepOptions {
         self
     }
 
-    /// Same options with an explicit zero-copy execution policy.
-    pub fn with_inplace(mut self, inplace: InplaceMode) -> Self {
-        self.inplace = inplace;
-        self
-    }
-
     /// Options from the environment — the single documented place every
     /// entry point (CLI, examples, benches) reads the sweep knobs from:
     ///
@@ -121,8 +102,7 @@ impl SweepOptions {
     /// | `MP_SWEEP_BLOCK`    | lines per block                   | 32      |
     /// | `MP_SWEEP_THREADS`  | worker threads per rank           | 1       |
     /// | `MP_SWEEP_PIPELINE` | carry sub-messages per boundary   | 1       |
-    /// | `MP_SWEEP_SIMD`     | kernel path: `auto`/`avx2`/`scalar` | auto  |
-    /// | `MP_SWEEP_INPLACE`  | zero-copy policy: `auto`/`on`/`off` | auto  |
+    /// | `MP_SWEEP_SIMD`     | kernel path: `auto`/`scalar`      | auto    |
     ///
     /// Malformed or out-of-range values (empty, non-numeric, `0` for the
     /// numeric knobs, an unknown `MP_SWEEP_SIMD` word) fall back to the
@@ -133,7 +113,7 @@ impl SweepOptions {
     pub fn from_env() -> Self {
         if let Ok(s) = std::env::var("MP_SWEEP_SIMD") {
             let t = s.trim().to_ascii_lowercase();
-            if !matches!(t.as_str(), "auto" | "avx2" | "scalar") {
+            if !matches!(t.as_str(), "auto" | "scalar") {
                 warn_invalid_env("MP_SWEEP_SIMD", &s, "auto");
             }
         }
@@ -143,7 +123,6 @@ impl SweepOptions {
         )
         .with_pipeline_chunks(env_usize("MP_SWEEP_PIPELINE", 1))
         .with_simd(SimdMode::from_env())
-        .with_inplace(InplaceMode::from_env())
     }
 }
 
@@ -227,6 +206,8 @@ impl RawParts {
 // concurrently running jobs (lines partition a tile's interior; carry
 // ranges are disjoint by construction).
 unsafe impl Send for RawParts {}
+// SAFETY: as for `Send`: concurrent jobs sharing one view touch disjoint
+// elements.
 unsafe impl Sync for RawParts {}
 
 /// Per-(tile, field) addressing for one phase: where the field's storage
@@ -324,9 +305,10 @@ pub(crate) struct SharedPhase<'a, K: ?Sized> {
     /// Vectorization level resolved once at plan-build time — steady-state
     /// execution never re-detects CPU features.
     pub(crate) simd: SimdLevel,
-    /// Run block jobs in place on tile storage (resolved per phase at
-    /// plan-build time; see [`crate::inplace`]). The job and chunk tables
-    /// are identical either way, so the wire schedule cannot change.
+    /// Run block jobs in place on tile storage (decided per phase at
+    /// plan-build time from the layout; see [`crate::compiled`]). The job
+    /// and chunk tables are identical either way, so the wire schedule
+    /// cannot change.
     pub(crate) inplace: bool,
 }
 
@@ -600,7 +582,12 @@ fn run_one<K: LineSweepKernel + ?Sized>(
 /// worker dereferences only its own slot (`base + wi`), so slots are never
 /// aliased across threads.
 struct ScratchPtr(*mut WorkerScratch);
+// SAFETY: the pointee array outlives every dispatch that holds the pointer
+// (`run_jobs` blocks until all workers check in), and each worker only
+// dereferences its own slot.
 unsafe impl Send for ScratchPtr {}
+// SAFETY: shared across workers only to read the base address; slot `wi`
+// is dereferenced by worker `wi` alone, so no slot is aliased.
 unsafe impl Sync for ScratchPtr {}
 
 /// Run the per-worker job spans (absolute, non-empty index ranges into

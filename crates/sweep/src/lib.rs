@@ -13,7 +13,11 @@
 //! * [`compiled`] — build-once / execute-many sweep plans:
 //!   [`compiled::CompiledSweep`], the per-`(dim, direction)` cache
 //!   [`compiled::SweepEngine`], and the driver-level
-//!   [`compiled::SolverPlan`];
+//!   [`compiled::SolverPlan`]. The plan picks each phase's layout from the
+//!   geometry alone: a phase whose swept dimension is not the unit-stride
+//!   axis runs in place (strided kernels over tile storage, carries
+//!   written straight into the send buffer) when its kernel has a strided
+//!   entry point, and every other phase gathers through packed scratch;
 //! * [`pipeline`] — the carry protocol of the phase loop: per-phase
 //!   carries split into eagerly sent chunk messages that overlap with
 //!   block computation (one chunk = the paper's aggregated message);
@@ -21,9 +25,6 @@
 //!   phases without per-phase thread spawns;
 //! * [`simd`] — lane-vectorized (AVX2) fast paths for the hot kernels with
 //!   plan-time runtime dispatch, bitwise identical to the scalar paths;
-//! * [`inplace`] — the zero-copy execution policy: strided in-place
-//!   kernels over tile storage with direct-to-wire carries, chosen per
-//!   phase by the calibrated cost model ([`inplace::InplaceMode`]);
 //! * [`baselines`] — the two classical alternatives the paper positions
 //!   against: static block unipartitioning with wavefront pipelining, and
 //!   dynamic block partitioning with transposes;
@@ -35,13 +36,13 @@
 //! * [`verify`] — serial references for bit-exact validation.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod baselines;
 pub mod batch;
 pub mod block;
 pub mod compiled;
 pub mod executor;
-pub mod inplace;
 pub mod penta;
 pub mod pipeline;
 pub mod pool;
@@ -64,7 +65,6 @@ pub use executor::{
     allocate_rank_store, exchange_halos, exchange_halos_planned, multipart_sweep,
     multipart_sweep_opts, multipart_sweep_try, SweepOptions,
 };
-pub use inplace::{k1_strided_key, InplaceMode};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};
 pub use pool::WorkerPool;
 pub use recurrence::{

@@ -271,10 +271,6 @@ impl LineSweepKernel for PentaForwardKernel {
         self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
-    fn kernel_name(&self) -> &'static str {
-        "penta_forward"
-    }
-
     fn supports_strided(&self) -> bool {
         true
     }
@@ -475,10 +471,6 @@ impl LineSweepKernel for PentaBackwardKernel {
             return;
         }
         self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
-    }
-
-    fn kernel_name(&self) -> &'static str {
-        "penta_backward"
     }
 
     fn supports_strided(&self) -> bool {

@@ -297,10 +297,11 @@ mod tests {
         assert_eq!(o.pipeline_chunks, 4);
         assert_eq!(o.block_width, 16);
         // MP_SWEEP_SIMD picks the dispatch mode; anything unrecognized
-        // (including garbage) falls back to auto rather than erroring.
+        // (including garbage and the retired `avx2` word) falls back to
+        // auto rather than erroring.
         for (val, want) in [
             ("scalar", crate::SimdMode::Scalar),
-            ("AVX2", crate::SimdMode::Avx2),
+            ("AVX2", crate::SimdMode::Auto),
             (" auto ", crate::SimdMode::Auto),
             ("banana", crate::SimdMode::Auto),
             ("", crate::SimdMode::Auto),

@@ -133,9 +133,9 @@ impl WorkerPool {
         {
             let mut c = self.shared.m.lock().unwrap();
             debug_assert_eq!(c.remaining, 0, "overlapping dispatch");
+            let ptr: *const (dyn Fn(usize) + Sync) = f;
             // SAFETY: erase the borrow's lifetime; `try_run` blocks below
             // until every worker checked in, so the borrow outlives all use.
-            let ptr: *const (dyn Fn(usize) + Sync) = f;
             let ptr: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(ptr) };
             c.job = Some(Job { ptr, nworkers: nw });
             c.epoch += 1;
@@ -321,7 +321,10 @@ mod tests {
         // The executor's pattern: each worker mutates its own scratch slot
         // through a raw base pointer indexed by worker id.
         struct SendPtr(*mut u64);
+        // SAFETY: `scratch` outlives the blocking `run`, and each worker
+        // writes only its own slot.
         unsafe impl Send for SendPtr {}
+        // SAFETY: workers share the pointer only to index disjoint slots.
         unsafe impl Sync for SendPtr {}
         let pool = WorkerPool::new(3);
         let mut scratch = [0u64; 4];

@@ -162,13 +162,6 @@ pub trait LineSweepKernel: Sync {
         self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
-    /// Stable name for calibration lookups (the `"<kernel>@<simd>"` K1 keys
-    /// of a [`mp_core::machine::MachineProfile`]) and reports. Kernels
-    /// without a registered calibration entry keep the default.
-    fn kernel_name(&self) -> &'static str {
-        "custom"
-    }
-
     /// Whether [`LineSweepKernel::sweep_block_strided`] is overridden with a
     /// fast path. The executor only elects in-place execution for kernels
     /// that opt in; everything else keeps the packed gather/scatter path
@@ -373,10 +366,6 @@ impl LineSweepKernel for PrefixSumKernel {
         self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
-    fn kernel_name(&self) -> &'static str {
-        "prefix_sum"
-    }
-
     fn supports_strided(&self) -> bool {
         true
     }
@@ -507,10 +496,6 @@ impl LineSweepKernel for FirstOrderKernel {
             return;
         }
         self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
-    }
-
-    fn kernel_name(&self) -> &'static str {
-        "first_order"
     }
 
     fn supports_strided(&self) -> bool {

@@ -41,23 +41,21 @@ use std::fmt;
 /// Requested vectorization mode — the `SweepOptions::simd` knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdMode {
-    /// Use the widest path the CPU supports (the default).
+    /// Use the widest path the CPU supports (the default): AVX2 when the
+    /// CPU has AVX2+FMA, scalar otherwise. `mpart profile` reports the path
+    /// actually dispatched.
     Auto,
-    /// Prefer the AVX2 path. Falls back to scalar when the CPU lacks
-    /// AVX2+FMA — env knobs must never abort a run; `mpart profile` reports
-    /// the path actually dispatched.
-    Avx2,
-    /// Force the portable scalar path (A/B baseline, escape hatch).
+    /// Force the portable scalar path (the bitwise reference, and the path
+    /// every non-AVX2 host runs anyway).
     Scalar,
 }
 
 impl SimdMode {
-    /// Parse a knob value: `auto`, `avx2`, or `scalar` (any case,
-    /// surrounding whitespace ignored). Anything else — including the empty
-    /// string — is `Auto`, per the repo's env-knobs-never-abort contract.
+    /// Parse a knob value: `auto` or `scalar` (any case, surrounding
+    /// whitespace ignored). Anything else — including the empty string — is
+    /// `Auto`, per the repo's env-knobs-never-abort contract.
     pub fn parse(s: &str) -> SimdMode {
         match s.trim().to_ascii_lowercase().as_str() {
-            "avx2" => SimdMode::Avx2,
             "scalar" => SimdMode::Scalar,
             _ => SimdMode::Auto,
         }
@@ -77,7 +75,7 @@ impl SimdMode {
     pub fn resolve(self) -> SimdLevel {
         match self {
             SimdMode::Scalar => SimdLevel::Scalar,
-            SimdMode::Auto | SimdMode::Avx2 => {
+            SimdMode::Auto => {
                 if avx2_available() {
                     SimdLevel::Avx2
                 } else {
@@ -91,7 +89,6 @@ impl SimdMode {
     pub fn name(self) -> &'static str {
         match self {
             SimdMode::Auto => "auto",
-            SimdMode::Avx2 => "avx2",
             SimdMode::Scalar => "scalar",
         }
     }
@@ -573,11 +570,11 @@ mod tests {
     #[test]
     fn mode_parsing() {
         assert_eq!(SimdMode::parse("auto"), SimdMode::Auto);
-        assert_eq!(SimdMode::parse("AVX2"), SimdMode::Avx2);
-        assert_eq!(SimdMode::parse("  scalar "), SimdMode::Scalar);
+        assert_eq!(SimdMode::parse("  Scalar "), SimdMode::Scalar);
         // Invalid values fall back to Auto — never abort.
         assert_eq!(SimdMode::parse(""), SimdMode::Auto);
         assert_eq!(SimdMode::parse("sse9"), SimdMode::Auto);
+        assert_eq!(SimdMode::parse("avx2"), SimdMode::Auto);
         assert_eq!(SimdMode::parse("42"), SimdMode::Auto);
     }
 
@@ -587,17 +584,14 @@ mod tests {
         let auto = SimdMode::Auto.resolve();
         if avx2_available() {
             assert_eq!(auto, SimdLevel::Avx2);
-            assert_eq!(SimdMode::Avx2.resolve(), SimdLevel::Avx2);
         } else {
-            // Forced AVX2 without the hardware degrades, not aborts.
             assert_eq!(auto, SimdLevel::Scalar);
-            assert_eq!(SimdMode::Avx2.resolve(), SimdLevel::Scalar);
         }
     }
 
     #[test]
     fn names_round_trip() {
-        for m in [SimdMode::Auto, SimdMode::Avx2, SimdMode::Scalar] {
+        for m in [SimdMode::Auto, SimdMode::Scalar] {
             assert_eq!(SimdMode::parse(m.name()), m);
             assert_eq!(format!("{m}"), m.name());
         }

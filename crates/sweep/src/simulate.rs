@@ -98,55 +98,22 @@ impl MultipartGeometry {
 }
 
 /// Simulate one multipartitioned sweep along `dim` (direction is immaterial
-/// for timing — schedules are symmetric). Tags `tag_base..tag_base+γ` are
-/// used; pass distinct bases for successive sweeps on the same net.
-pub fn simulate_multipart_sweep(
-    net: &mut SimNet,
-    geo: &MultipartGeometry,
-    dim: usize,
-    work: &SweepWork,
-    tag_base: u64,
-) {
-    let gamma = geo.gammas[dim];
-    let elem_t = net.model().k1;
-    for phase in 0..gamma {
-        for rank in 0..geo.p {
-            // Receive this phase's carries.
-            if phase > 0 {
-                let upstream = geo.neighbor_bwd[rank as usize][dim];
-                if upstream != rank {
-                    net.recv(rank, upstream, tag_base + phase);
-                }
-            }
-            // Compute the slab.
-            let vol = geo.volumes[rank as usize][dim][phase as usize];
-            net.compute_seconds(rank, vol as f64 * work.work_per_element * elem_t);
-            // Send carries downstream.
-            if phase + 1 < gamma {
-                let down = geo.neighbor_fwd[rank as usize][dim];
-                if down != rank {
-                    let elems = geo.lines[rank as usize][dim][phase as usize] * work.carry_len;
-                    net.send(rank, down, tag_base + phase + 1, elems);
-                }
-            }
-        }
-    }
-}
-
-/// Pipelined variant of [`simulate_multipart_sweep`], mirroring the
-/// functional [`crate::pipeline`] mode: each phase's compute is split into
-/// `chunks` pieces and a piece's carry sub-message ships as soon as that
-/// piece finishes, so the downstream rank can start its matching piece
-/// without waiting for the sender's whole slab.
+/// for timing — schedules are symmetric), mirroring the functional phase
+/// loop ([`crate::pipeline`]): each phase's compute is split into `chunks`
+/// pieces and a piece's carry sub-message ships as soon as that piece
+/// finishes, so the downstream rank can start its matching piece without
+/// waiting for the sender's whole slab. `chunks = 1` is the paper's one
+/// aggregated message per rank per phase boundary. Tags
+/// `tag_base..tag_base+γ` are used; pass distinct bases for successive
+/// sweeps on the same net.
 ///
 /// This is where the paper's §3.1 aggregation-vs-pipelining tradeoff
 /// becomes measurable: per phase boundary the aggregated schedule pays
 /// `K2 + L·K3` of serialization after the full slab compute, while the
 /// pipelined schedule pays `K2 + (L/k)·K3` after the *last piece* only —
 /// at the price of `k` per-message overheads `K2` and `k×` the message
-/// count. `chunks = 1` issues the exact event sequence of
-/// [`simulate_multipart_sweep`].
-pub fn simulate_multipart_sweep_pipelined(
+/// count.
+pub fn simulate_multipart_sweep(
     net: &mut SimNet,
     geo: &MultipartGeometry,
     dim: usize,
@@ -466,7 +433,7 @@ mod tests {
         let (mp, grid) = sp_mp(16, 64);
         let geo = MultipartGeometry::new(&mp, &grid);
         let mut net = SimNet::new(16, machine());
-        simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 0);
+        simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 1, 0);
         let t16 = net.makespan();
         let serial = 64.0 * 64.0 * 64.0 * machine().k1;
         let speedup = serial / t16;
@@ -483,7 +450,7 @@ mod tests {
         let (mp, grid) = sp_mp(9, 36);
         let geo = MultipartGeometry::new(&mp, &grid);
         let mut net = SimNet::new(9, machine());
-        simulate_multipart_sweep(&mut net, &geo, 1, &SweepWork::default(), 0);
+        simulate_multipart_sweep(&mut net, &geo, 1, &SweepWork::default(), 1, 0);
         let clocks: Vec<f64> = (0..9).map(|r| net.clock(r)).collect();
         let max = clocks.iter().copied().fold(0.0, f64::max);
         let min = clocks.iter().copied().fold(f64::INFINITY, f64::min);
@@ -500,28 +467,9 @@ mod tests {
         let grid = TileGrid::new(&[8, 8, 8], &[4, 2, 2]);
         let geo = MultipartGeometry::new(&mp, &grid);
         let mut net = SimNet::new(2, machine());
-        simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 0);
+        simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 1, 0);
         assert_eq!(net.stats.messages, 0);
         assert!(net.makespan() > 0.0);
-    }
-
-    #[test]
-    fn pipelined_chunks_one_identical_to_aggregated() {
-        let (mp, grid) = sp_mp(16, 64);
-        let geo = MultipartGeometry::new(&mp, &grid);
-        let work = SweepWork {
-            work_per_element: 2.0,
-            carry_len: 5,
-        };
-        let mut agg = SimNet::new(16, machine());
-        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 0);
-        let mut pip = SimNet::new(16, machine());
-        simulate_multipart_sweep_pipelined(&mut pip, &geo, 0, &work, 1, 0);
-        assert_eq!(agg.makespan(), pip.makespan());
-        assert_eq!(agg.stats, pip.stats);
-        for r in 0..16 {
-            assert_eq!(agg.clock(r), pip.clock(r));
-        }
     }
 
     #[test]
@@ -530,10 +478,10 @@ mod tests {
         let geo = MultipartGeometry::new(&mp, &grid);
         let work = SweepWork::default();
         let mut agg = SimNet::new(16, machine());
-        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 0);
+        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 1, 0);
         let k = 4u64;
         let mut pip = SimNet::new(16, machine());
-        simulate_multipart_sweep_pipelined(&mut pip, &geo, 0, &work, k, 0);
+        simulate_multipart_sweep(&mut pip, &geo, 0, &work, k, 0);
         assert_eq!(pip.stats.messages, agg.stats.messages * k);
         assert_eq!(pip.stats.elements, agg.stats.elements);
         assert!(pip.all_delivered());
@@ -560,9 +508,9 @@ mod tests {
             carry_len: 5,
         };
         let mut agg = SimNet::new(4, m);
-        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 0);
+        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 1, 0);
         let mut pip = SimNet::new(4, m);
-        simulate_multipart_sweep_pipelined(&mut pip, &geo, 0, &work, 8, 0);
+        simulate_multipart_sweep(&mut pip, &geo, 0, &work, 8, 0);
         assert!(
             pip.makespan() < agg.makespan(),
             "pipelined should win when K3 payload dominates: pip={} agg={}",
@@ -590,9 +538,9 @@ mod tests {
             carry_len: 1,
         };
         let mut agg = SimNet::new(4, m);
-        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 0);
+        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 1, 0);
         let mut pip = SimNet::new(4, m);
-        simulate_multipart_sweep_pipelined(&mut pip, &geo, 0, &work, 8, 0);
+        simulate_multipart_sweep(&mut pip, &geo, 0, &work, 8, 0);
         assert!(
             pip.makespan() > agg.makespan(),
             "aggregation should win when K2 dominates: pip={} agg={}",
@@ -664,7 +612,7 @@ mod tests {
         let geo = MultipartGeometry::new(&mp, &grid);
         let mut net = SimNet::new(p, machine());
         for dim in 0..3 {
-            simulate_multipart_sweep(&mut net, &geo, dim, &work, 1000 * (dim as u64 + 1));
+            simulate_multipart_sweep(&mut net, &geo, dim, &work, 1, 1000 * (dim as u64 + 1));
         }
         let t_multi = net.makespan();
 
@@ -704,7 +652,7 @@ mod tests {
             .expect("p=8 (4,4,2) has an aggregatable dimension");
         let work = SweepWork::default();
         let mut agg = SimNet::new(8, machine());
-        simulate_multipart_sweep(&mut agg, &geo, dim, &work, 0);
+        simulate_multipart_sweep(&mut agg, &geo, dim, &work, 1, 0);
         let mut unagg = SimNet::new(8, machine());
         simulate_multipart_sweep_unaggregated(&mut unagg, &mp, &grid, dim, &work, 0);
         assert_eq!(

@@ -212,10 +212,6 @@ impl LineSweepKernel for ThomasForwardKernel {
         self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
-    fn kernel_name(&self) -> &'static str {
-        "thomas_forward"
-    }
-
     fn supports_strided(&self) -> bool {
         true
     }
@@ -391,10 +387,6 @@ impl LineSweepKernel for ThomasBackwardKernel {
             return;
         }
         self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
-    }
-
-    fn kernel_name(&self) -> &'static str {
-        "thomas_backward"
     }
 
     fn supports_strided(&self) -> bool {

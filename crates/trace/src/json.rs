@@ -90,6 +90,7 @@ impl std::error::Error for JsonError {}
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -103,6 +104,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text as bytes.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -253,11 +256,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. Every other step advances
+                    // over whole ASCII bytes or whole scalars, so `pos` is
+                    // a char boundary here; `get` checks that in O(1).
+                    let ch = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8 boundary in string"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }

@@ -32,6 +32,7 @@
 //! the in-crate [`json`] module.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod chrome;
 pub mod json;

@@ -52,7 +52,7 @@ fn check(p: u64, eta: [usize; 3], gammas: [u64; 3]) {
     let geo = MultipartGeometry::new(&mp, &grid);
     for dim in 0..3 {
         let mut net = SimNet::new(p, machine);
-        simulate_multipart_sweep(&mut net, &geo, dim, &work, 0);
+        simulate_multipart_sweep(&mut net, &geo, dim, &work, 1, 0);
         let simulated = net.makespan();
         let analytic = closed_form(&machine, p, &eta, &gammas, dim, &work);
         let rel = (simulated - analytic).abs() / analytic;
@@ -101,7 +101,7 @@ fn simulator_matches_paper_objective_ordering() {
         let geo = MultipartGeometry::new(&mp, &grid);
         let mut net = SimNet::new(p, machine);
         for dim in 0..3 {
-            simulate_multipart_sweep(&mut net, &geo, dim, &work, dim as u64 * 1000);
+            simulate_multipart_sweep(&mut net, &geo, dim, &work, 1, dim as u64 * 1000);
         }
         measured.push((net.makespan(), part.gammas.clone()));
     }
