@@ -654,11 +654,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         traces.push(trace);
     }
     let nranks = traces.len();
-    let mode = if cfg.opts.pipeline_chunks > 1 {
-        "pipelined"
-    } else {
-        "aggregated"
-    };
     // The level every compiled plan resolved to — requested mode plus what
     // the hardware actually supports.
     let simd = cfg.opts.simd.resolve();
@@ -668,7 +663,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         .with_meta("eta", format!("{}x{}x{}", eta[0], eta[1], eta[2]))
         .with_meta("p", p.to_string())
         .with_meta("iters", iters.to_string())
-        .with_meta("mode", mode)
         .with_meta("block_width", cfg.opts.block_width.to_string())
         .with_meta("threads", cfg.opts.threads.to_string())
         .with_meta("pipeline_chunks", cfg.opts.pipeline_chunks.to_string())
@@ -678,15 +672,15 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
 
     let part = &mp.partitioning;
     let mut rep = format!(
-        "SP {}×{}×{} on p = {p}, {iters} iteration(s), {mode} sweeps \
-         (block_width {}, threads {}, chunks {}, simd {} [requested {}])\n\
+        "SP {}×{}×{} on p = {p}, {iters} iteration(s), chunks {} \
+         (block_width {}, threads {}, simd {} [requested {}])\n\
          γ = {:?}, modulus vector m̄ = {:?}\n\n",
         eta[0],
         eta[1],
         eta[2],
+        cfg.opts.pipeline_chunks,
         cfg.opts.block_width,
         cfg.opts.threads,
-        cfg.opts.pipeline_chunks,
         simd,
         cfg.opts.simd,
         part.gammas,
@@ -1198,7 +1192,7 @@ mod tests {
     fn profile_runs_and_writes_loadable_trace() {
         let dir = std::env::temp_dir().join("mpart_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile_aggregated.json");
+        let path = dir.join("profile_chunks1.json");
         let out = runv(&[
             "profile",
             "4",
@@ -1212,7 +1206,7 @@ mod tests {
             path.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out.contains("aggregated sweeps"), "{out}");
+        assert!(out.contains("chunks 1 "), "{out}");
         // The report names the resolved vectorization level — derived from
         // the same env-seeded options the command uses, so the assertion
         // holds under an MP_SWEEP_SIMD override (CI runs the whole suite
@@ -1233,7 +1227,8 @@ mod tests {
         assert!(tf.ranks.iter().all(|r| r.stats.compute_ns > 0));
         assert!(tf
             .meta
-            .contains(&("mode".to_string(), "aggregated".to_string())));
+            .contains(&("pipeline_chunks".to_string(), "1".to_string())));
+        assert!(tf.meta.iter().all(|(k, _)| k != "mode"));
         assert!(tf
             .meta
             .contains(&("simd".to_string(), simd.name().to_string())));
@@ -1334,7 +1329,7 @@ mod tests {
             path.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out.contains("pipelined sweeps"), "{out}");
+        assert!(out.contains("chunks 2 "), "{out}");
         assert!(out.contains("0 rebuilds"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         let tf = mp_trace::TraceFile::parse_chrome_json(&text).unwrap();

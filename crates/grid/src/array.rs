@@ -162,9 +162,19 @@ impl<T: Copy + Default> ArrayD<T> {
     /// `base` (whose `axis` component is ignored), plus its length.
     /// Lines are the unit of 1-D recurrences.
     pub fn line(&self, axis: usize, base: &[usize]) -> (usize, usize, usize) {
-        let mut idx = base.to_vec();
-        idx[axis] = 0;
-        let start = self.shape.offset(&idx);
+        debug_assert_eq!(base.len(), self.shape.ndim());
+        let mut start = 0;
+        for (k, ((&b, &s), &e)) in base
+            .iter()
+            .zip(self.shape.strides())
+            .zip(self.shape.dims())
+            .enumerate()
+        {
+            if k != axis {
+                debug_assert!(b < e, "index {b} out of bounds for dim {k}");
+                start += b * s;
+            }
+        }
         (start, self.shape.strides()[axis], self.shape.dim(axis))
     }
 

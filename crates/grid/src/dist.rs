@@ -138,18 +138,27 @@ impl RankStore {
     /// Scatter every tile's interior of field `f` into a global array
     /// (used by verification against serial runs).
     pub fn gather_into(&self, f: usize, global: &mut crate::array::ArrayD<f64>) {
+        let gstrides = global.shape().strides().to_vec();
         for tile in &self.tiles {
-            let origin = tile.region.origin.clone();
+            let origin = &tile.region.origin;
             let arr = tile.field(f);
-            let extent = arr.interior().to_vec();
-            let shape = crate::shape::Shape::new(&extent);
-            shape.for_each_index(|local| {
-                let global_idx: Vec<usize> = local
-                    .iter()
-                    .zip(origin.iter())
-                    .map(|(&l, &o)| l + o)
-                    .collect();
-                global.set(&global_idx, arr.get_i(local));
+            let extent = arr.interior();
+            let d = extent.len();
+            assert_eq!(global.dims().len(), d, "dimension mismatch");
+            // Whole rows along the unit-stride last dimension.
+            let n = extent[d - 1];
+            let mut rows = extent.to_vec();
+            rows[d - 1] = 1;
+            let (src, dst) = (arr.raw(), global.as_mut_slice());
+            let (src0, sstrides) = (arr.interior_origin_offset(), arr.strides());
+            crate::shape::Shape::new(&rows).for_each_index(|local| {
+                let (mut s, mut g) = (src0, 0);
+                for (((&l, &o), &ss), &gs) in local.iter().zip(origin).zip(sstrides).zip(&gstrides)
+                {
+                    s += l * ss;
+                    g += (l + o) * gs;
+                }
+                dst[g..g + n].copy_from_slice(&src[s..s + n]);
             });
         }
     }

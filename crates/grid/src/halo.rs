@@ -8,6 +8,7 @@
 
 use crate::array::ArrayD;
 use crate::shape::{Region, Side};
+use crate::stencil::StarRow;
 
 /// A dense array with `halo` ghost layers on every side of every dimension.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,46 +55,58 @@ impl HaloArray {
         self.interior.len()
     }
 
-    fn storage_index(&self, idx: &[isize]) -> Vec<usize> {
+    /// Flat storage offset of a logical (possibly ghost) index.
+    #[inline]
+    fn storage_index(&self, idx: &[isize]) -> usize {
         debug_assert_eq!(idx.len(), self.ndim());
-        idx.iter()
-            .zip(self.interior.iter())
-            .map(|(&i, &e)| {
-                let h = self.halo as isize;
-                debug_assert!(
-                    i >= -h && i < e as isize + h,
-                    "logical index {i} outside [-{h}, {e}+{h})"
-                );
-                (i + h) as usize
-            })
-            .collect()
+        let h = self.halo as isize;
+        let mut off = 0;
+        for ((&i, &e), &s) in idx.iter().zip(&self.interior).zip(self.strides()) {
+            debug_assert!(
+                i >= -h && i < e as isize + h,
+                "logical index {i} outside [-{h}, {e}+{h})"
+            );
+            off += (i + h) as usize * s;
+        }
+        off
+    }
+
+    /// Flat storage offset of an interior index.
+    #[inline]
+    fn interior_index(&self, idx: &[usize]) -> usize {
+        debug_assert_eq!(idx.len(), self.ndim());
+        let mut off = 0;
+        for ((&i, &e), &s) in idx.iter().zip(&self.interior).zip(self.strides()) {
+            debug_assert!(i < e, "interior index {i} outside [0, {e})");
+            off += (i + self.halo) * s;
+        }
+        off
     }
 
     /// Read at a logical (possibly ghost) index.
     #[inline]
     pub fn get(&self, idx: &[isize]) -> f64 {
-        self.data.get(&self.storage_index(idx))
+        self.raw()[self.storage_index(idx)]
     }
 
     /// Write at a logical (possibly ghost) index.
     #[inline]
     pub fn set(&mut self, idx: &[isize], value: f64) {
         let s = self.storage_index(idx);
-        self.data.set(&s, value);
+        self.raw_mut()[s] = value;
     }
 
     /// Interior-only convenience accessors (unsigned indices).
     #[inline]
     pub fn get_i(&self, idx: &[usize]) -> f64 {
-        let s: Vec<usize> = idx.iter().map(|&i| i + self.halo).collect();
-        self.data.get(&s)
+        self.raw()[self.interior_index(idx)]
     }
 
     /// Interior-only write.
     #[inline]
     pub fn set_i(&mut self, idx: &[usize], value: f64) {
-        let s: Vec<usize> = idx.iter().map(|&i| i + self.halo).collect();
-        self.data.set(&s, value);
+        let s = self.interior_index(idx);
+        self.raw_mut()[s] = value;
     }
 
     /// Region (in storage coordinates) of the interior face to *send* when a
@@ -194,6 +207,50 @@ impl HaloArray {
     /// `base` lives at `interior_origin_offset() + Σ base[k]·strides()[k]`.
     pub fn interior_origin_offset(&self) -> usize {
         self.strides().iter().map(|&s| s * self.halo).sum()
+    }
+
+    /// Storage offset of interior point `(i, j, 0)` of a 3-D array: the
+    /// start of row `(i, j)` along the unit-stride last dimension.
+    #[inline]
+    fn row_offset(&self, i: usize, j: usize) -> usize {
+        debug_assert_eq!(self.ndim(), 3, "rows are defined for 3-D arrays");
+        debug_assert!(i < self.interior[0] && j < self.interior[1]);
+        let s = self.strides();
+        self.interior_origin_offset() + i * s[0] + j * s[1]
+    }
+
+    /// Interior row `(i, j, ·)` of a 3-D array.
+    #[inline]
+    pub fn row(&self, i: usize, j: usize) -> &[f64] {
+        let (c, n) = (self.row_offset(i, j), self.interior[2]);
+        &self.raw()[c..c + n]
+    }
+
+    /// Mutable interior row `(i, j, ·)` of a 3-D array.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize, j: usize) -> &mut [f64] {
+        let (c, n) = (self.row_offset(i, j), self.interior[2]);
+        &mut self.raw_mut()[c..c + n]
+    }
+
+    /// The seven-point neighbourhood of interior row `(i, j, ·)` of a 3-D
+    /// array, read straight from the padded storage: neighbours across a
+    /// tile face are the ghost values (so `0.0` on a physical boundary that
+    /// no exchange fills).
+    ///
+    /// # Panics
+    /// Panics if the array has no ghost layer.
+    #[inline]
+    pub fn star_row(&self, i: usize, j: usize) -> StarRow<'_> {
+        assert!(self.halo >= 1, "a star row reads one ghost layer");
+        let (c, n, s) = (self.row_offset(i, j), self.interior[2], self.strides());
+        let raw = self.raw();
+        let at = |o: usize| &raw[o..o + n];
+        StarRow::new(
+            &raw[c - 1..c + n + 1],
+            [at(c - s[0]), at(c - s[1])],
+            [at(c + s[0]), at(c + s[1])],
+        )
     }
 
     /// Raw backing storage (row-major over the padded extents); use with
@@ -360,6 +417,51 @@ mod tests {
         assert_eq!(a.get(&[-1, 0]), 5.0);
         assert_eq!(a.get(&[3, 2]), 7.0);
         assert_eq!(a.get_i(&[1, 1]), 9.0);
+    }
+
+    #[test]
+    fn accessors_3d_ghost_corners_odd_extents() {
+        // Padded extents 7×9×11: every logical index, ghost corners at ±halo
+        // included, lands on its own row-major storage slot.
+        let (ext, h) = ([3usize, 5, 7], 2isize);
+        let mut a = HaloArray::zeros(&ext, h as usize);
+        let padded = ext.map(|e| e as isize + 2 * h);
+        let slot = |i: isize, j: isize, k: isize| {
+            (((i + h) * padded[1] + (j + h)) * padded[2] + (k + h)) as usize
+        };
+        let span = |e: usize| -h..e as isize + h;
+        for i in span(ext[0]) {
+            for j in span(ext[1]) {
+                for k in span(ext[2]) {
+                    a.set(&[i, j, k], slot(i, j, k) as f64);
+                }
+            }
+        }
+        for (s, &v) in a.raw().iter().enumerate() {
+            assert_eq!(v, s as f64, "storage slot {s}");
+        }
+        let (hi0, hi1, hi2) = (
+            ext[0] as isize + 1,
+            ext[1] as isize + 1,
+            ext[2] as isize + 1,
+        );
+        for c in [
+            [-h, -h, -h],
+            [hi0, hi1, hi2],
+            [-h, hi1, -h],
+            [hi0, -h, hi2],
+            [-1, 0, hi2],
+        ] {
+            assert_eq!(a.get(&c), slot(c[0], c[1], c[2]) as f64, "corner {c:?}");
+        }
+        // Interior accessors agree with the signed ones at the interior's
+        // own corners.
+        for c in [[0usize, 0, 0], [2, 4, 6], [0, 4, 0], [2, 0, 6]] {
+            let s = c.map(|x| x as isize);
+            assert_eq!(a.get_i(&c), a.get(&s));
+            a.set_i(&c, -1.0);
+            assert_eq!(a.get(&s), -1.0);
+        }
     }
 
     #[test]

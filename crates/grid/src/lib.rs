@@ -3,7 +3,8 @@
 //! From-scratch storage layer for the multipartitioning runtime: row-major
 //! [`array::ArrayD`] arrays, [`tile::TileGrid`] geometry (cutting a global
 //! domain into the `γ_1 × … × γ_d` tile grid chosen by `mp-core`),
-//! [`halo::HaloArray`] ghost-layer storage for stencil phases, and
+//! [`halo::HaloArray`] ghost-layer storage for stencil phases (read row by
+//! row through [`stencil::StarRow`]), and
 //! [`dist::RankStore`] per-rank tile storage.
 //!
 //! The crate is independent of the partitioning theory (it never decides
@@ -20,6 +21,7 @@ pub mod dist;
 pub mod halo;
 pub mod lines;
 pub mod shape;
+pub mod stencil;
 pub mod tile;
 pub mod view;
 
@@ -30,5 +32,6 @@ pub use dist::{FieldDef, RankStore, TileData};
 pub use halo::{HaloArray, HaloDirPlan, HaloPlan};
 pub use lines::{gather_line, scatter_line, LaneView};
 pub use shape::{Region, Shape, Side};
+pub use stencil::{dense_star_rows, StarRow};
 pub use tile::TileGrid;
 pub use view::{ArrayView, ArrayViewMut};

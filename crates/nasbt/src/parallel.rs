@@ -5,9 +5,9 @@
 //! forcings at `35 + c`.
 
 use crate::problem::{BtProblem, NCOMP};
-use crate::serial::bt_rhs_at;
+use crate::serial::Stencil;
 use mp_core::multipart::{Direction, Multipartitioning};
-use mp_grid::{FieldDef, RankStore, TileGrid};
+use mp_grid::{FieldDef, RankStore, TileData, TileGrid};
 use mp_runtime::comm::Communicator;
 use mp_sweep::block::{BlockTriBackwardKernel, BlockTriForwardKernel};
 use mp_sweep::compiled::SolverPlan;
@@ -145,33 +145,18 @@ impl ParallelBt {
 
         // 2. compute_rhs. (Stage spans when telemetry is on, mirroring SP.)
         let t_rhs = comm.tracer().is_some().then(std::time::Instant::now);
+        let st = Stencil::new(&prob);
         for tile in &mut self.store.tiles {
-            let ext = tile.field(0).interior().to_vec();
+            let [n0, n1] = rows(tile);
+            let (u, rest) = tile.fields.split_at_mut(NCOMP);
+            let (rhs, rest) = rest.split_at_mut(NCOMP);
+            let forcing = &rest[fields::forcing(0) - 2 * NCOMP..];
             for c in 0..NCOMP {
-                let mut idx = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            let sidx = [i as isize, j as isize, k as isize];
-                            let uc = &tile.fields[fields::u(c)];
-                            let mut nb = [[0.0f64; 2]; 3];
-                            for dim in 0..3 {
-                                let mut lo = sidx;
-                                lo[dim] -= 1;
-                                let mut hi = sidx;
-                                hi[dim] += 1;
-                                nb[dim][0] = uc.get(&lo);
-                                nb[dim][1] = uc.get(&hi);
-                            }
-                            let center = uc.get(&sidx);
-                            let next = tile.fields[fields::u((c + 1) % NCOMP)].get(&sidx);
-                            let f = tile.fields[fields::forcing(c)].get_i(&idx);
-                            let v = bt_rhs_at(&prob, center, &nb, next, f);
-                            tile.fields[fields::rhs(c)].set_i(&idx, v);
-                        }
+                let (uc, un, fc) = (&u[c], &u[(c + 1) % NCOMP], &forcing[c]);
+                for i in 0..n0 {
+                    for j in 0..n1 {
+                        let out = rhs[c].row_mut(i, j);
+                        st.row(uc.star_row(i, j), un.row(i, j), fc.row(i, j), out);
                     }
                 }
             }
@@ -210,18 +195,13 @@ impl ParallelBt {
         // 4. add.
         let t_add = comm.tracer().is_some().then(std::time::Instant::now);
         for tile in &mut self.store.tiles {
-            let ext = tile.field(0).interior().to_vec();
-            for c in 0..NCOMP {
-                let mut idx = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            let v = tile.fields[fields::u(c)].get_i(&idx)
-                                + tile.fields[fields::rhs(c)].get_i(&idx);
-                            tile.fields[fields::u(c)].set_i(&idx, v);
+            let [n0, n1] = rows(tile);
+            let (u, rest) = tile.fields.split_at_mut(NCOMP);
+            for (uc, rc) in u.iter_mut().zip(&rest[..NCOMP]) {
+                for i in 0..n0 {
+                    for j in 0..n1 {
+                        for (uv, rv) in uc.row_mut(i, j).iter_mut().zip(rc.row(i, j)) {
+                            *uv += rv;
                         }
                     }
                 }
@@ -256,17 +236,11 @@ impl ParallelBt {
     pub fn norm<C: Communicator>(&mut self, comm: &mut C) -> f64 {
         let mut local = 0.0;
         for tile in &self.store.tiles {
-            let ext = tile.field(0).interior().to_vec();
-            for c in 0..NCOMP {
-                let arr = tile.field(fields::u(c));
-                let mut idx = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            let v = arr.get_i(&idx);
+            let [n0, n1] = rows(tile);
+            for uc in &tile.fields[..NCOMP] {
+                for i in 0..n0 {
+                    for j in 0..n1 {
+                        for v in uc.row(i, j) {
                             local += v * v;
                         }
                     }
@@ -274,6 +248,14 @@ impl ParallelBt {
             }
         }
         comm.allreduce_sum(&[local])[0].sqrt()
+    }
+}
+
+/// The `(i, j)` row counts of a tile: its extents along dimensions 0 and 1.
+fn rows(tile: &TileData) -> [usize; 2] {
+    match tile.region.extent[..] {
+        [n0, n1, _] => [n0, n1],
+        _ => panic!("BT tiles are 3-D"),
     }
 }
 
@@ -310,6 +292,30 @@ mod tests {
                 );
             }
             assert!((results[0].1 - serial.norm()).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn ragged_tiles_p6_match_serial_bitwise() {
+        // η = [10, 11, 13] over p = 6 cuts tiles of unequal extents, so each
+        // tile's rows differ in length and `u`'s padded strides differ from
+        // the unpadded fields' — the row-slice loops must keep them apart.
+        let prob = BtProblem::new([10, 11, 13], 0.002);
+        let mut serial = SerialBt::new(prob);
+        serial.run(2);
+        let mp = Multipartitioning::optimal(6, &[10, 11, 13], &CostModel::origin2000_like());
+        let stores = run_threaded(6, |comm| {
+            let mut bt = ParallelBt::new(comm.rank(), prob, mp.clone());
+            bt.run(comm, 2);
+            bt.store
+        });
+        let bits = |a: &ArrayD<f64>| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for c in 0..NCOMP {
+            let mut global = ArrayD::zeros(&prob.eta);
+            for store in &stores {
+                store.gather_into(fields::u(c), &mut global);
+            }
+            assert_eq!(bits(&global), bits(&serial.u[c]), "component {c}");
         }
     }
 

@@ -5,19 +5,22 @@
 //!
 //! Each iteration:
 //! 1. halo-exchange `u` (one aggregated message per neighbor per direction);
-//! 2. `compute_rhs` — local 7-point stencil into `rhs`;
-//! 3. per dimension: build `a,b,c` locally from global coordinates, then a
-//!    forward elimination sweep and a backward substitution sweep (the
-//!    multipartitioned phases of the paper);
-//! 4. `add` — `u += rhs`, local.
+//! 2. `compute_rhs` — local 7-point stencil into `rhs`, one row at a time
+//!    ([`mp_grid::HaloArray::star_row`]: ghost cells on the physical
+//!    boundary stay 0, so the point loop has no boundary branches);
+//! 3. per dimension: build `a,b,c` locally from global coordinates in one
+//!    pass (`SpProblem::fill_coefficients`), then a forward elimination
+//!    sweep and a backward substitution sweep (the multipartitioned phases
+//!    of the paper);
+//! 4. `add` — `u += rhs`, local, row by row.
 //!
 //! Results are bit-identical to [`crate::serial::SerialSp`].
 
 use crate::kernels::SpPentaForwardKernel;
 use crate::problem::{SolverKind, SpProblem};
-use crate::serial::rhs_at;
+use crate::serial::Stencil;
 use mp_core::multipart::{Direction, Multipartitioning};
-use mp_grid::{FieldDef, RankStore, TileGrid};
+use mp_grid::{FieldDef, RankStore, TileData, TileGrid};
 use mp_runtime::comm::Communicator;
 use mp_sweep::compiled::SolverPlan;
 use mp_sweep::executor::{allocate_rank_store, SweepOptions};
@@ -132,41 +135,15 @@ impl ParallelSp {
         // stages are bracketed with named spans when telemetry is on, so a
         // trace separates stencil/coefficient work from the sweeps proper.
         let t_rhs = comm.tracer().is_some().then(std::time::Instant::now);
+        let st = Stencil::new(&prob);
         for tile in &mut self.store.tiles {
-            let ext = tile.field(fields::U).interior().to_vec();
-            let origin = tile.region.origin.clone();
-            let (u, rest) = tile.fields.split_first_mut().unwrap();
-            let (rhs, rest) = rest.split_first_mut().unwrap();
+            let [n0, n1, _] = tile_extent(&tile.region.extent);
+            let (u, rest) = tile.fields.split_first_mut().expect("SP fields");
+            let (rhs, rest) = rest.split_first_mut().expect("SP fields");
             let forcing = &rest[fields::FORCING - 2];
-            let mut idx = vec![0usize; 3];
-            let mut g = vec![0usize; 3];
-            for i in 0..ext[0] {
-                for j in 0..ext[1] {
-                    for k in 0..ext[2] {
-                        idx[0] = i;
-                        idx[1] = j;
-                        idx[2] = k;
-                        g[0] = origin[0] + i;
-                        g[1] = origin[1] + j;
-                        g[2] = origin[2] + k;
-                        let sidx = [i as isize, j as isize, k as isize];
-                        let mut nb = [[0.0f64; 2]; 3];
-                        for dim in 0..3 {
-                            let mut lo = sidx;
-                            lo[dim] -= 1;
-                            let mut hi = sidx;
-                            hi[dim] += 1;
-                            nb[dim][0] = u.get(&lo);
-                            nb[dim][1] = u.get(&hi);
-                        }
-                        let v = rhs_at(
-                            &prob,
-                            u.get(&sidx),
-                            &nb,
-                            forcing.get_i(&g_local(&g, &origin)),
-                        );
-                        rhs.set_i(&idx, v);
-                    }
+            for i in 0..n0 {
+                for j in 0..n1 {
+                    st.row(u.star_row(i, j), forcing.row(i, j), rhs.row_mut(i, j));
                 }
             }
         }
@@ -204,26 +181,13 @@ impl ParallelSp {
             }
             let t_coeffs = comm.tracer().is_some().then(std::time::Instant::now);
             for tile in &mut self.store.tiles {
-                let origin = tile.region.origin.clone();
-                let ext = tile.field(fields::A).interior().to_vec();
-                let mut idx = vec![0usize; 3];
-                let mut g = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            g[0] = origin[0] + i;
-                            g[1] = origin[1] + j;
-                            g[2] = origin[2] + k;
-                            let (a, b, c) = prob.coefficients(&g, dim);
-                            tile.fields[fields::A].set_i(&idx, a);
-                            tile.fields[fields::B].set_i(&idx, b);
-                            tile.fields[fields::C].set_i(&idx, c);
-                        }
-                    }
-                }
+                let origin = tile_extent(&tile.region.origin);
+                let ext = tile_extent(&tile.region.extent);
+                let [a, b, c] = &mut tile.fields[fields::A..=fields::C] else {
+                    unreachable!("A, B, C are three consecutive fields")
+                };
+                let abc = [a.raw_mut(), b.raw_mut(), c.raw_mut()];
+                prob.fill_coefficients(dim, origin, ext, abc);
             }
             if let (Some(t0), Some(tr)) = (t_coeffs, comm.tracer()) {
                 tr.stage(t0, "coeffs");
@@ -253,18 +217,13 @@ impl ParallelSp {
         // 4. add (local).
         let t_add = comm.tracer().is_some().then(std::time::Instant::now);
         for tile in &mut self.store.tiles {
-            let ext = tile.field(fields::U).interior().to_vec();
-            let (u, rest) = tile.fields.split_first_mut().unwrap();
+            let [n0, n1, _] = tile_extent(&tile.region.extent);
+            let (u, rest) = tile.fields.split_first_mut().expect("SP fields");
             let rhs = &rest[0];
-            let mut idx = vec![0usize; 3];
-            for i in 0..ext[0] {
-                for j in 0..ext[1] {
-                    for k in 0..ext[2] {
-                        idx[0] = i;
-                        idx[1] = j;
-                        idx[2] = k;
-                        let v = u.get_i(&idx) + rhs.get_i(&idx);
-                        u.set_i(&idx, v);
+            for i in 0..n0 {
+                for j in 0..n1 {
+                    for (uv, rv) in u.row_mut(i, j).iter_mut().zip(rhs.row(i, j)) {
+                        *uv += rv;
                     }
                 }
             }
@@ -312,20 +271,10 @@ impl ParallelSp {
     /// harness can still compare surviving ranks after a peer has failed.
     pub fn u_checksum(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for t in &self.store.tiles {
-            let arr = t.field(fields::U);
-            let ext = arr.interior().to_vec();
-            let mut idx = vec![0usize; 3];
-            for i in 0..ext[0] {
-                for j in 0..ext[1] {
-                    for k in 0..ext[2] {
-                        idx[0] = i;
-                        idx[1] = j;
-                        idx[2] = k;
-                        h ^= arr.get_i(&idx).to_bits();
-                        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                }
+        for row in self.store.tiles.iter().flat_map(u_rows) {
+            for v in row {
+                h ^= v.to_bits();
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
         h
@@ -338,19 +287,10 @@ impl ParallelSp {
             .tiles
             .iter()
             .map(|t| {
-                let arr = t.field(fields::U);
-                let ext = arr.interior().to_vec();
                 let mut s = 0.0;
-                let mut idx = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            let v = arr.get_i(&idx);
-                            s += v * v;
-                        }
+                for row in u_rows(t) {
+                    for v in row {
+                        s += v * v;
                     }
                 }
                 s
@@ -360,9 +300,16 @@ impl ParallelSp {
     }
 }
 
-/// Local index of a global coordinate within a tile at `origin`.
-fn g_local(g: &[usize], origin: &[usize]) -> Vec<usize> {
-    g.iter().zip(origin.iter()).map(|(&a, &b)| a - b).collect()
+/// A tile's extents (or origin) as the 3-D array the SP fields use.
+fn tile_extent(v: &[usize]) -> [usize; 3] {
+    v.try_into().expect("SP tiles are 3-D")
+}
+
+/// A tile's interior `u` rows, in row-major order.
+fn u_rows(t: &TileData) -> impl Iterator<Item = &[f64]> {
+    let [n0, n1, _] = tile_extent(&t.region.extent);
+    let u = t.field(fields::U);
+    (0..n0).flat_map(move |i| (0..n1).map(move |j| u.row(i, j)))
 }
 
 #[cfg(test)]
@@ -433,6 +380,24 @@ mod tests {
             store.gather_into(fields::U, &mut global);
         }
         assert_eq!(global.max_abs_diff(&serial.u), 0.0);
+    }
+
+    #[test]
+    fn ragged_tiles_p6_match_serial_bitwise() {
+        // η = [10, 11, 13] over p = 6 cuts tiles of unequal extents, so each
+        // tile's rows differ in length and `u`'s padded strides differ from
+        // the unpadded fields' — the row-slice loops must keep them apart.
+        for prob in [
+            SpProblem::new([10, 11, 13], 0.001),
+            SpProblem::pentadiagonal([10, 11, 13], 0.001),
+        ] {
+            let mut serial = SerialSp::new(prob);
+            serial.run(2);
+            let (global, _) = run_parallel(prob, 6, 2);
+            let bits =
+                |a: &ArrayD<f64>| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&global), bits(&serial.u), "{:?}", prob.solver);
+        }
     }
 
     #[test]

@@ -68,10 +68,22 @@ impl SpProblem {
     /// Smooth spatially varying diffusivity in `(0.8, 1.2)`; cheap and
     /// deterministic.
     pub fn diffusivity(&self, g: &[usize]) -> f64 {
-        let x = (g[0] as f64 + 1.0) / (self.eta[0] as f64 + 1.0);
-        let y = (g[1] as f64 + 1.0) / (self.eta[1] as f64 + 1.0);
-        let z = (g[2] as f64 + 1.0) / (self.eta[2] as f64 + 1.0);
-        1.0 + 0.2 * (x - 0.5) * (y - 0.5) + 0.1 * (z - 0.5)
+        self.diffusivity_xy(g[0], g[1]) + self.diffusivity_z(g[2])
+    }
+
+    /// The `x`/`y` part of [`SpProblem::diffusivity`], `1 + 0.2·(x−½)(y−½)`:
+    /// the left operand of its final addition, so a row along `z` can
+    /// compute it once.
+    fn diffusivity_xy(&self, g0: usize, g1: usize) -> f64 {
+        let x = (g0 as f64 + 1.0) / (self.eta[0] as f64 + 1.0);
+        let y = (g1 as f64 + 1.0) / (self.eta[1] as f64 + 1.0);
+        1.0 + 0.2 * (x - 0.5) * (y - 0.5)
+    }
+
+    /// The `z` part of [`SpProblem::diffusivity`], `0.1·(z−½)`.
+    fn diffusivity_z(&self, g2: usize) -> f64 {
+        let z = (g2 as f64 + 1.0) / (self.eta[2] as f64 + 1.0);
+        0.1 * (z - 0.5)
     }
 
     /// Initial condition: a smooth product-of-parabolas bump satisfying the
@@ -100,12 +112,56 @@ impl SpProblem {
     /// coupling removed (zero Dirichlet).
     pub fn coefficients(&self, g: &[usize], dim: usize) -> (f64, f64, f64) {
         let lam = self.lambda(dim) * self.diffusivity(g);
-        let first = g[dim] == 0;
-        let last = g[dim] == self.eta[dim] - 1;
+        Self::tri_row(lam, g[dim] == 0, g[dim] == self.eta[dim] - 1)
+    }
+
+    /// One row of the tridiagonal system from its `λ·diffusivity`.
+    #[inline]
+    fn tri_row(lam: f64, first: bool, last: bool) -> (f64, f64, f64) {
         let a = if first { 0.0 } else { -lam };
         let c = if last { 0.0 } else { -lam };
         let b = 1.0 + 2.0 * lam;
         (a, b, c)
+    }
+
+    /// [`SpProblem::coefficients`] for every point of the box of global
+    /// points `origin + [0, ext)`, written row-major into `a`, `b` and `c` in
+    /// one pass. `λ(dim)` and the per-row `x`/`y` diffusivity terms are
+    /// computed once and each point's value is bitwise the one
+    /// [`SpProblem::coefficients`] returns.
+    ///
+    /// # Panics
+    /// Panics unless each output holds exactly the box's points.
+    pub(crate) fn fill_coefficients(
+        &self,
+        dim: usize,
+        origin: [usize; 3],
+        ext: [usize; 3],
+        [a, b, c]: [&mut [f64]; 3],
+    ) {
+        let len = ext.iter().product::<usize>();
+        assert!(
+            a.len() == len && b.len() == len && c.len() == len,
+            "coefficient outputs must hold the {ext:?} box"
+        );
+        let lam_dim = self.lambda(dim);
+        let last = self.eta[dim] - 1;
+        let z: Vec<f64> = (0..ext[2])
+            .map(|k| self.diffusivity_z(origin[2] + k))
+            .collect();
+        let rows = a
+            .chunks_exact_mut(ext[2])
+            .zip(b.chunks_exact_mut(ext[2]))
+            .zip(c.chunks_exact_mut(ext[2]));
+        for (r, ((a, b), c)) in rows.enumerate() {
+            let g = [origin[0] + r / ext[1], origin[1] + r % ext[1], origin[2]];
+            let xy = self.diffusivity_xy(g[0], g[1]);
+            let points = a.iter_mut().zip(b.iter_mut()).zip(c.iter_mut()).zip(&z);
+            for (k, (((a, b), c), &z)) in points.enumerate() {
+                let at = if dim == 2 { g[2] + k } else { g[dim] };
+                (*a, *b, *c) = Self::tri_row(lam_dim * (xy + z), at == 0, at == last);
+            }
+        }
     }
 
     /// Pentadiagonal coefficients at global index `g` for the implicit

@@ -8,7 +8,7 @@
 
 use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use mp_core::multipart::Direction;
-use mp_grid::ArrayD;
+use mp_grid::{ArrayD, Shape};
 
 /// Apply `kernel` along every `axis` line of the given global fields.
 ///
@@ -16,7 +16,7 @@ use mp_grid::ArrayD;
 /// must share one shape.
 /// ```
 /// use mp_core::multipart::Direction;
-/// use mp_grid::ArrayD;
+/// use mp_grid::{ArrayD, Shape};
 /// use mp_sweep::{verify::serial_sweep, PrefixSumKernel};
 /// let mut a = ArrayD::from_fn(&[2, 3], |g| (g[1] + 1) as f64);
 /// serial_sweep(&mut [&mut a], 1, Direction::Forward, &PrefixSumKernel::new(0));
@@ -49,63 +49,50 @@ pub fn serial_sweep_with_origin(
         assert_eq!(f.dims(), dims.as_slice(), "field shapes must match");
     }
     let n = dims[axis];
-    let mut bases = Vec::new();
-    fields[0].for_each_line(axis, |b| bases.push(b.to_vec()));
-
+    let stride = fields[0].shape().strides()[axis];
+    // Line `base` occupies `off0 + k·stride` for k in 0..n; the segment
+    // buffers hold it in sweep order (a backward sweep starts at k = n − 1).
+    let span = (n - 1) * stride + 1;
+    let forward = dir == Direction::Forward;
+    let mut lines = dims.clone();
+    lines[axis] = 1;
     let nk = kernel.fields().len();
-    let mut seg: Vec<Vec<f64>> = vec![Vec::with_capacity(n); nk];
-    for base in &bases {
-        // Read lines in sweep order.
-        for (s, &fi) in kernel.fields().iter().enumerate() {
-            let buf = &mut seg[s];
-            buf.clear();
-            let mut idx = base.clone();
-            match dir {
-                Direction::Forward => {
-                    for k in 0..n {
-                        idx[axis] = k;
-                        buf.push(fields[fi].get(&idx));
-                    }
-                }
-                Direction::Backward => {
-                    for k in (0..n).rev() {
-                        idx[axis] = k;
-                        buf.push(fields[fi].get(&idx));
-                    }
-                }
+    let mut seg: Vec<Vec<f64>> = vec![vec![0.0; n]; nk];
+    let initial = kernel.initial_carry(dir);
+    let mut carry = initial.clone();
+    let mut ctx = SegmentCtx::new(origin.to_vec(), axis, dir);
+    Shape::new(&lines).for_each_index(|base| {
+        let off0 = fields[0].shape().offset(base);
+        for (buf, &fi) in seg.iter_mut().zip(kernel.fields()) {
+            let line = fields[fi].as_slice()[off0..off0 + span].iter();
+            if forward {
+                buf.iter_mut()
+                    .zip(line.step_by(stride))
+                    .for_each(|(b, &v)| *b = v);
+            } else {
+                buf.iter_mut()
+                    .zip(line.rev().step_by(stride))
+                    .for_each(|(b, &v)| *b = v);
             }
         }
-        let mut carry = kernel.initial_carry(dir);
-        let mut gstart: Vec<usize> = base
-            .iter()
-            .zip(origin.iter())
-            .map(|(&b, &o)| b + o)
-            .collect();
-        gstart[axis] = match dir {
-            Direction::Forward => origin[axis],
-            Direction::Backward => origin[axis] + n - 1,
-        };
-        let ctx = SegmentCtx::new(gstart, axis, dir);
+        for (g, (&b, &o)) in ctx.global_start.iter_mut().zip(base.iter().zip(origin)) {
+            *g = b + o;
+        }
+        ctx.global_start[axis] = origin[axis] + if forward { 0 } else { n - 1 };
+        carry.copy_from_slice(&initial);
         kernel.sweep_segment(dir, &mut carry, &mut seg, &ctx);
-        // Write back.
-        for (s, &fi) in kernel.fields().iter().enumerate() {
-            let mut idx = base.clone();
-            match dir {
-                Direction::Forward => {
-                    for (k, &v) in seg[s].iter().enumerate() {
-                        idx[axis] = k;
-                        fields[fi].set(&idx, v);
-                    }
-                }
-                Direction::Backward => {
-                    for (k, &v) in seg[s].iter().enumerate() {
-                        idx[axis] = n - 1 - k;
-                        fields[fi].set(&idx, v);
-                    }
-                }
+        for (buf, &fi) in seg.iter().zip(kernel.fields()) {
+            let line = fields[fi].as_mut_slice()[off0..off0 + span].iter_mut();
+            if forward {
+                line.step_by(stride).zip(buf).for_each(|(d, &v)| *d = v);
+            } else {
+                line.rev()
+                    .step_by(stride)
+                    .zip(buf)
+                    .for_each(|(d, &v)| *d = v);
             }
         }
-    }
+    });
 }
 
 /// Solve tridiagonal systems along every `axis` line of global coefficient
@@ -120,15 +107,13 @@ pub fn serial_tridiag_solve(
     axis: usize,
 ) {
     let n = a.dims()[axis];
-    let mut bases = Vec::new();
-    a.for_each_line(axis, |bb| bases.push(bb.to_vec()));
     let (mut la, mut lb, mut lc, mut ld) = (
         Vec::with_capacity(n),
         Vec::with_capacity(n),
         Vec::with_capacity(n),
         Vec::with_capacity(n),
     );
-    for base in &bases {
+    a.for_each_line(axis, |base| {
         a.read_line(axis, base, &mut la);
         b.read_line(axis, base, &mut lb);
         c.read_line(axis, base, &mut lc);
@@ -136,7 +121,7 @@ pub fn serial_tridiag_solve(
         crate::thomas::thomas_solve_in_place(&la, &mut lb, &mut lc, &mut ld);
         c.write_line(axis, base, &lc);
         d.write_line(axis, base, &ld);
-    }
+    });
 }
 
 #[cfg(test)]
